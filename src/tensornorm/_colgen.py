@@ -7,12 +7,16 @@ columns the master LP may combine, plus a pricing oracle that maximises
   upper  -- the LP objective, the cost of an explicit decomposition;
   lower  -- (target . y) / max(M, 1), where M is the oracle maximum of the
             dual functional; dividing by M makes the functional feasible
-            for the continuum problem, so the bound is certified whenever
-            the oracle is exact (and grid+polish accurate otherwise).
+            for the continuum problem.  The bound is a certificate only
+            where the oracle is exact: m = 2 and the euclid2 families.  For
+            m >= 3 the oracle is grid + polish, M can fall short of the true
+            maximum, and ``lower`` is an estimate, not a certificate.
 
-Iteration stops once the pricing violation and the implied bracket gap
-are both below tolerance, or after ``max_rounds`` rounds (``converged``
-is then False and the best bracket so far is returned).
+While the master LP is infeasible the oracle prices its Farkas
+certificate until the target enters the span.  Iteration stops once the
+pricing violation and the implied bracket gap are both below tolerance,
+when the oracle adds no new column, or after ``max_rounds`` rounds
+(``converged`` is then False and the last bracket is returned).
 """
 
 from __future__ import annotations
@@ -26,16 +30,16 @@ from . import lp_engine
 from .tensor_core import SignedPowerCombination
 
 
+PRICING_TOL = 1e-7   # admissible dual violation max|p_y| - 1
+PRUNE_TOL = 1e-10    # primal weights of at most this size are dropped
+
+
 @dataclass(frozen=True)
 class SolverOptions:
+    """What a caller may set; PRICING_TOL, PRUNE_TOL and the grid are fixed."""
+
     tol: float = 1e-7            # absolute bracket-gap target
-    pricing_tol: float = 1e-7    # admissible dual violation max|p_y| - 1
     max_rounds: int = 200
-    grid_resolution: int = 64    # simplex pricing grid (dim >= 3 families)
-    grid_budget: int = 30000     # cap on pricing/seed grid size
-    lp_tol: float = 1e-9
-    prune_tol: float = 1e-10
-    seed: int = 20240 + 1        # reserved for randomised grids; lattices are deterministic
 
 
 @dataclass
@@ -91,31 +95,22 @@ def run_column_generation(target, family, opts: SolverOptions | None = None) -> 
         add(p)
 
     sol = None
-    y = None
-    oracle_max = 1.0
     rounds = 0
     converged = False
     while rounds < opts.max_rounds:
         rounds += 1
-        sol = lp_engine.solve_min_tv(cols, target, tol=opts.lp_tol)
+        sol = lp_engine.solve_min_tv(cols, target)
+        # sol.dual is the Farkas certificate when the master is infeasible
+        p_star, oracle_max, extras = family.oracle(sol.dual)
         if sol.status == "infeasible":
-            # price on the Farkas certificate until the target enters the span
-            p_star, m_star, extras = family.oracle(sol.dual)
-            if m_star <= 1e-12:
+            if oracle_max <= 1e-12:
                 break
-            added = add(p_star)
-            for q in extras:
-                added = add(q) or added
-            if not added:
+        else:
+            violation = oracle_max - 1.0
+            gap = max(0.0, sol.objective * violation)
+            if violation <= PRICING_TOL and gap <= opts.tol:
+                converged = True
                 break
-            continue
-        y = sol.dual
-        p_star, oracle_max, extras = family.oracle(y)
-        violation = oracle_max - 1.0
-        gap = max(0.0, sol.objective * violation)
-        if violation <= opts.pricing_tol and gap <= opts.tol:
-            converged = True
-            break
         added = add(p_star)
         for q in extras:
             added = add(q) or added
@@ -123,16 +118,11 @@ def run_column_generation(target, family, opts: SolverOptions | None = None) -> 
             break  # dual-degenerate stall: maximiser already priced in
 
     if sol is None or sol.status == "infeasible":
-        dual = list(sol.dual) if sol is not None else None
         return NormBounds(0.0, math.inf, None, None, rounds, False, None)
 
     upper = sol.objective
-    if y is None:
-        lower = 0.0
-        dual_scaled = None
-    else:
-        scale = max(oracle_max, 1.0)
-        lower = min(float(target @ y) / scale, upper)
-        dual_scaled = (np.asarray(y) / scale).tolist()
-    primal, pairs = family.primal(params, sol.weights, opts.prune_tol)
+    scale = max(oracle_max, 1.0)
+    lower = min(float(target @ sol.dual) / scale, upper)
+    dual_scaled = (np.asarray(sol.dual) / scale).tolist()
+    primal, pairs = family.primal(params, sol.weights, PRUNE_TOL)
     return NormBounds(lower, upper, primal, dual_scaled, rounds, converged, pairs)

@@ -127,10 +127,6 @@ def _options(args) -> SolverOptions:
     return SolverOptions(tol=args.tol, max_rounds=max_iters)
 
 
-def _bounds_payload(nb) -> dict:
-    return nb.to_json_dict()
-
-
 def _cmd_psi(args, out) -> int:
     if args.n < 1:
         raise ValidationError("--n must be >= 1")
@@ -163,7 +159,7 @@ def _cmd_kappa(args, out) -> int:
     if args.n < 1:
         raise ValidationError("--n must be >= 1")
     nb = norm_solver.kappa(args.n, _options(args))
-    _emit(_bounds_payload(nb), args.format, out)
+    _emit(nb.to_json_dict(), args.format, out)
     return 0 if nb.converged else 3
 
 
@@ -177,8 +173,8 @@ def _cmd_constants(args, out) -> int:
     pc = norm_solver.polarization_constants(args.n, _options(args))
     payload = {
         "n": pc.n,
-        "kappa": _bounds_payload(pc.kappa),
-        "cssp": _bounds_payload(pc.cssp),
+        "kappa": pc.kappa.to_json_dict(),
+        "cssp": pc.cssp.to_json_dict(),
         "gamma_reference": pc.gamma_reference,
         "classical_cs_lower": pc.classical_cs_lower,
     }
@@ -304,7 +300,7 @@ def _cmd_euclid2(args, out) -> int:
         if args.matrix is None:
             raise ValidationError("--matrix is required for halfcircle")
         nb = euclid2.half_circle_lp(_parse_matrix(args.matrix), opts)
-        _emit(_bounds_payload(nb), args.format, out)
+        _emit(nb.to_json_dict(), args.format, out)
         return 0 if nb.converged else 3
     raise ValidationError(f"unknown euclid2 action {args.what!r}")
 
@@ -313,13 +309,15 @@ def _cmd_euclid2(args, out) -> int:
 # parser
 
 
-def _add_common(sub):
+def _add_output(sub):
+    sub.add_argument("--format", choices=("json", "csv", "table"), default="json")
+    sub.add_argument("--output", default=None)
+
+
+def _add_solver(sub):
+    _add_output(sub)
     sub.add_argument("--tol", type=float, default=1e-7)
     sub.add_argument("--max-iters", type=int, default=200)
-    sub.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    sub.add_argument("--arithmetic", choices=("float", "rational"), default="float")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--output", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,37 +330,38 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--a", type=float, required=True)
     s.add_argument("--b", type=float, required=True)
     s.add_argument("--n", type=int, required=True)
-    _add_common(s)
+    s.add_argument("--arithmetic", choices=("float", "rational"), default="float")
+    _add_output(s)
     s.set_defaults(fn=_cmd_psi)
 
     s = subs.add_parser("decompose", help="optimal two-state node decomposition")
     s.add_argument("--a", type=float, required=True)
     s.add_argument("--b", type=float, required=True)
     s.add_argument("--n", type=int, required=True)
-    _add_common(s)
+    _add_output(s)
     s.set_defaults(fn=_cmd_decompose)
 
     s = subs.add_parser("kappa", help="bracket for the order-n mixing constant")
     s.add_argument("--n", type=int, required=True)
-    _add_common(s)
+    _add_solver(s)
     s.set_defaults(fn=_cmd_kappa)
 
     s = subs.add_parser("constants", help="polarization constants")
     s.add_argument("--n", type=int, default=2)
     s.add_argument("--space", choices=("l1", "l2"), default="l1")
-    _add_common(s)
+    _add_solver(s)
     s.set_defaults(fn=_cmd_constants)
 
     s = subs.add_parser("represent", help="signed mixing measure for a distribution")
     s.add_argument("--input", required=True, help="distribution JSON file, or - for stdin")
     s.add_argument("--method", choices=("lp", "constructive"), default="lp")
-    _add_common(s)
+    _add_solver(s)
     s.set_defaults(fn=_cmd_represent)
 
     s = subs.add_parser("chi", help="n draws without replacement from N states")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--N", type=int, required=True)
-    _add_common(s)
+    _add_output(s)
     s.set_defaults(fn=_cmd_chi)
 
     s = subs.add_parser("extend-bounds", help="extendibility bound table")
@@ -370,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--N", type=str, required=True, help="single value or lo..hi")
     s.add_argument("--m", type=int, default=None)
     s.add_argument("--exact", action="store_true")
-    _add_common(s)
+    _add_solver(s)
     s.set_defaults(fn=_cmd_extend_bounds)
 
     s = subs.add_parser("euclid2", help="Euclidean 2x2 gallery")
@@ -381,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kind", choices=("pi", "pisp", "pip"), default="pisp")
     s.add_argument("--resolution", type=int, default=64)
     s.add_argument("--matrix", type=str, default=None)
-    _add_common(s)
+    _add_solver(s)
     s.set_defaults(fn=_cmd_euclid2)
 
     return p

@@ -209,21 +209,19 @@ class _WedgePairFamily:
 def half_circle_lp(matrix, opts: SolverOptions | None = None) -> NormBounds:
     """Certified bracket for the positive-power norm of a symmetric 2x2 matrix."""
     a, b, c = _matrix_entries(matrix)
-    return run_column_generation([a, b, c], _ArcPowerFamily(0.0, _HALF_PI),
-                                 opts or SolverOptions())
+    return run_column_generation([a, b, c], _ArcPowerFamily(0.0, _HALF_PI), opts)
 
 
 def full_circle_lp(matrix, opts: SolverOptions | None = None) -> NormBounds:
     """Certified bracket for the power norm over the whole unit circle."""
     a, b, c = _matrix_entries(matrix)
-    return run_column_generation([a, b, c], _ArcPowerFamily(0.0, math.pi),
-                                 opts or SolverOptions())
+    return run_column_generation([a, b, c], _ArcPowerFamily(0.0, math.pi), opts)
 
 
 def positive_wedge_lp(matrix, opts: SolverOptions | None = None) -> NormBounds:
     """Certified bracket for the positive-wedge norm of a symmetric 2x2 matrix."""
     a, b, c = _matrix_entries(matrix)
-    return run_column_generation([a, b, c], _WedgePairFamily(), opts or SolverOptions())
+    return run_column_generation([a, b, c], _WedgePairFamily(), opts)
 
 
 def extreme_points(kind: str, resolution: int = 64) -> list[tuple[float, float, float]]:
@@ -264,7 +262,6 @@ def constants_l2(opts: SolverOptions | None = None, samples: int = 24) -> dict:
     Returns the closed values {csp: 3, cssp: 3, cpsp: 2, cp_squared: 2}
     together with sampled maxima of the corresponding norm ratios.
     """
-    opts = opts or SolverOptions()
     max_lo = 0.0
     max_hi = 0.0
     for j in range(2 * samples):

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import norm_solver
-from ._colgen import NormBounds, SolverOptions
+from ._colgen import PRUNE_TOL, NormBounds, SolverOptions
 from .chebyshev import binary_lower_bound_max, psi_mixed
 from .tensor_core import (SignedPowerCombination, SymmetricTensor, multi_indices,
                           multiplicity, polarization_expand, power,
@@ -144,9 +144,10 @@ def chi_nN(n: int, N: int) -> ExchangeableDistribution:
 def _master_decomposition(n: int, opts: SolverOptions) -> tuple:
     """A decomposition of the symmetrised basis tensor into probability powers.
 
-    Prefers the certified optimal decomposition; falls back to the sign
-    expansion pushed through non-negative node combinations when the
-    optimiser has not converged.
+    Prefers the LP primal of ``kappa(n)``, converged or not.  When the LP
+    returned no primal (for example with ``max_rounds=0``) it falls back to
+    the sign expansion pushed through non-negative node combinations, which
+    is exact but costs far more total variation.
     """
     if n == 1:
         return ((1.0, (1.0,)),)
@@ -174,16 +175,15 @@ def represent(d: ExchangeableDistribution, method: str = "lp",
     decomposition of the symmetrised basis tensor through each atom of d
     and is guaranteed but generally non-optimal.
     """
-    opts = opts or SolverOptions()
     m = d.num_states
     if method == "lp":
         nb = norm_solver.norm_pisp(d.tensor, norm_solver.l1(m), opts)
         atoms = [(w, x) for w, x in (nb.primal.terms if nb.primal else ())]
-        measure = _merged_measure(atoms, opts.prune_tol)
+        measure = _merged_measure(atoms)
         measure.converged = nb.converged
         return measure
     if method == "constructive":
-        master = _master_decomposition(d.order, opts)
+        master = _master_decomposition(d.order, opts or SolverOptions())
         atoms = []
         for idx, p in d.tensor.entries.items():
             weight = float(p) * multiplicity(idx)
@@ -194,16 +194,16 @@ def represent(d: ExchangeableDistribution, method: str = "lp",
                 for pos, state in enumerate(idx):
                     nu[state] += f[pos]
                 atoms.append((weight * a, tuple(nu)))
-        return _merged_measure(atoms, opts.prune_tol)
+        return _merged_measure(atoms)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _merged_measure(atoms, prune: float) -> SignedMixingMeasure:
+def _merged_measure(atoms) -> SignedMixingMeasure:
     bucket: dict = {}
     for w, nu in atoms:
         key = tuple(round(float(v), 12) for v in nu)
         bucket[key] = bucket.get(key, 0.0) + float(w)
-    merged = [(w, nu) for nu, w in sorted(bucket.items()) if abs(w) > prune]
+    merged = [(w, nu) for nu, w in sorted(bucket.items()) if abs(w) > PRUNE_TOL]
     tv = math.fsum(abs(w) for w, _ in merged)
     return SignedMixingMeasure(merged, tv)
 
@@ -275,8 +275,7 @@ def kappa_nN_bounds(n: int, N: int, exact: bool = False,
     lp_value = None
     if exact:
         d = chi_nN(n, N)
-        lp_value = norm_solver.norm_pisp(d.tensor, norm_solver.l1(N),
-                                         opts or SolverOptions())
+        lp_value = norm_solver.norm_pisp(d.tensor, norm_solver.l1(N), opts)
     return ExtendibilityBounds(n, N, None, lower, upper, lp_value)
 
 
@@ -331,8 +330,7 @@ def kappa_nNm_bounds(n: int, N: int, m: int, exact: bool = False,
         best: NormBounds | None = None
         for counts in _compositions_desc(N, m):
             tensor = _pushforward_chi(n, N, counts)
-            nb = norm_solver.norm_pisp(tensor, norm_solver.l1(m),
-                                       opts or SolverOptions())
+            nb = norm_solver.norm_pisp(tensor, norm_solver.l1(m), opts)
             if best is None or nb.upper > best.upper:
                 best = nb
         lp_value = best

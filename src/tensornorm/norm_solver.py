@@ -26,7 +26,7 @@ from math import comb
 import numpy as np
 
 from . import euclid2
-from ._colgen import NormBounds, SolverOptions, run_column_generation
+from ._colgen import PRICING_TOL, NormBounds, SolverOptions, run_column_generation
 from .chebyshev import psi
 from .tensor_core import (SignedPowerCombination, SymmetricTensor, multi_indices,
                           multiplicity, wedge)
@@ -38,7 +38,6 @@ class SpaceDescriptor:
 
     family: str  # 'l1' | 'l2dim2'
     dim: int
-    cone: str = "coordinatewise"
 
     def __post_init__(self):
         if self.family not in ("l1", "l2dim2"):
@@ -67,11 +66,13 @@ class PolarizationConstants:
     cssp: NormBounds
     gamma_reference: float       # 2^(n-1)
     classical_cs_lower: float    # n^n / n!
-    cpsp: NormBounds | None = None  # positive-wedge variant; equals kappa on l1
 
 
 # ---------------------------------------------------------------------------
 # pricing helpers
+
+GRID_RESOLUTION = 64   # simplex pricing lattice for m >= 3
+GRID_BUDGET = 30000    # cap on the size of the pricing and seed lattices
 
 
 def _simplex_lattice(m: int, resolution: int) -> np.ndarray:
@@ -151,12 +152,11 @@ def _max_abs_poly01(coef: np.ndarray) -> tuple[float, float]:
 class _PowerFamily:
     """Generators x^(tensor n) with x on the l1 unit sphere (or its positive part)."""
 
-    def __init__(self, m: int, n: int, signed: bool, opts: SolverOptions,
-                 target=None, symmetrize: bool = False):
+    def __init__(self, m: int, n: int, signed: bool, target=None,
+                 symmetrize: bool = False):
         self.m = m
         self.n = n
         self.signed = signed
-        self.opts = opts
         self.target = None if target is None else np.asarray(target, dtype=float)
         self.symmetrize = symmetrize  # permutation-invariant targets share orbits
         self.indices = multi_indices(m, n)
@@ -211,7 +211,7 @@ class _PowerFamily:
                 c = math.cos(j * math.pi / (2 * self.n)) ** 2
                 base.append(np.asarray([c, 1.0 - c]))
         lattice_res = self.n
-        if comb(lattice_res + self.m - 1, self.m - 1) <= self.opts.grid_budget:
+        if comb(lattice_res + self.m - 1, self.m - 1) <= GRID_BUDGET:
             base.extend(_lattice_cached(self.m, lattice_res))
         out = []
         cand = self._diagonal_candidate()
@@ -272,8 +272,8 @@ class _PowerFamily:
 
     def _oracle_grid(self, y):
         if self._grid is None:
-            res = self.opts.grid_resolution
-            while comb(res + self.m - 1, self.m - 1) > self.opts.grid_budget and res > 2:
+            res = GRID_RESOLUTION
+            while comb(res + self.m - 1, self.m - 1) > GRID_BUDGET and res > 2:
                 res -= 1
             self._grid = _lattice_cached(self.m, res)
             cols = np.ones((len(self._grid), len(self.indices)))
@@ -292,7 +292,7 @@ class _PowerFamily:
             x = self._snap(x)
             if v > best_v:
                 best_v, best_x = v, x
-            elif rank > 0 and abs(vals[gi]) > 1.0 + self.opts.pricing_tol:
+            elif rank > 0 and abs(vals[gi]) > 1.0 + PRICING_TOL:
                 extras.append(tuple(x))
         return np.asarray(best_x), best_v, extras[:3]
 
@@ -388,10 +388,9 @@ def norm_pisp(t: SymmetricTensor, space: SpaceDescriptor,
               opts: SolverOptions | None = None) -> NormBounds:
     """Positive symmetric norm via column generation over positive unit powers."""
     _check_space(t, space)
-    opts = opts or SolverOptions()
     if space.family == "l2dim2":
         return euclid2.half_circle_lp(_to_matrix(t), opts)
-    fam = _PowerFamily(t.dim, t.order, signed=False, opts=opts, target=t.vector())
+    fam = _PowerFamily(t.dim, t.order, signed=False, target=t.vector())
     return run_column_generation(t.vector(), fam, opts)
 
 
@@ -399,12 +398,11 @@ def norm_pis(t: SymmetricTensor, space: SpaceDescriptor,
              opts: SolverOptions | None = None) -> NormBounds:
     """Symmetric norm via column generation over signed unit powers (m <= 4)."""
     _check_space(t, space)
-    opts = opts or SolverOptions()
     if space.family == "l2dim2":
         return euclid2.full_circle_lp(_to_matrix(t), opts)
     if t.dim > 4:
         raise ValueError("signed generation is limited to m <= 4 (2^m sign orthants)")
-    fam = _PowerFamily(t.dim, t.order, signed=True, opts=opts, target=t.vector())
+    fam = _PowerFamily(t.dim, t.order, signed=True, target=t.vector())
     return run_column_generation(t.vector(), fam, opts)
 
 
@@ -412,7 +410,6 @@ def norm_pip(t: SymmetricTensor, space: SpaceDescriptor,
              opts: SolverOptions | None = None) -> NormBounds:
     """Positive projective norm: equals norm_pi on l1^m; wedge generation on l2^2."""
     _check_space(t, space)
-    opts = opts or SolverOptions()
     if space.family == "l1":
         return norm_pi(t, space)
     return euclid2.positive_wedge_lp(_to_matrix(t), opts)
@@ -422,8 +419,7 @@ def norm_pip(t: SymmetricTensor, space: SpaceDescriptor,
 def _kappa_cached(n: int, opts: SolverOptions) -> NormBounds:
     basis = [tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n)]
     target = wedge(basis)
-    fam = _PowerFamily(n, n, signed=False, opts=opts, target=target.vector(),
-                       symmetrize=True)
+    fam = _PowerFamily(n, n, signed=False, target=target.vector(), symmetrize=True)
     nb = run_column_generation(target.vector(), fam, opts)
     if nb.converged:
         from .exchangeable import uv_bound
@@ -475,15 +471,11 @@ def cssp_l1(n: int, grid_size: int = 4096) -> NormBounds:
 
 def polarization_constants(n: int, opts: SolverOptions | None = None) -> PolarizationConstants:
     """Assemble the bracketed constants for l1^n at order n."""
-    kb = kappa(n, opts)
     return PolarizationConstants(
         n=n,
         space=l1(n),
-        kappa=kb,
+        kappa=kappa(n, opts),
         cssp=cssp_l1(n),
         gamma_reference=2.0 ** (n - 1),
         classical_cs_lower=n ** n / math.factorial(n),
-        # positive maps of norm one send basis wedges onto all positive
-        # wedges, so the positive-wedge supremum is attained at the basis
-        cpsp=kb,
     )

@@ -1,15 +1,22 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from tensornorm import cli
+
 CMD = [sys.executable, "-m", "tensornorm.cli"]
+# the child must import the package this test process imported
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run_cli(*args, stdin=None, env=None):
-    import os
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, full_env.get("PYTHONPATH")) if p)
     if env:
         full_env.update(env)
     return subprocess.run(CMD + list(args), capture_output=True, text=True,
@@ -157,3 +164,32 @@ class TestDeterminism:
                     "--output", str(path))
         assert r.returncode == 0
         assert path.read_text().strip() == "17"
+
+
+SUBCOMMANDS = {
+    "psi": ["--a", "1", "--b", "-1", "--n", "2"],
+    "decompose": ["--a", "2", "--b", "-1", "--n", "2"],
+    "kappa": ["--n", "2"],
+    "constants": ["--n", "2"],
+    "represent": ["--input", None],
+    "chi": ["--n", "2", "--N", "3"],
+    "extend-bounds": ["--n", "2", "--N", "2"],
+    "euclid2": ["--what", "norms", "--a", "1", "--b", "-1"],
+}
+SOLVER_COMMANDS = {"kappa", "constants", "represent", "extend-bounds", "euclid2"}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_flags_only_where_read(command, tmp_path, capsys):
+    coin = tmp_path / "coin.json"
+    coin.write_text(COIN)
+    argv = [command] + [str(coin) if a is None else a for a in SUBCOMMANDS[command]]
+    out = tmp_path / "out.txt"
+    assert cli.main(argv + ["--format", "csv", "--output", str(out)]) == 0
+    assert out.read_text()
+    assert cli.main(argv + ["--seed", "1"]) == 2
+    solver = cli.main(argv + ["--tol", "1e-7", "--max-iters", "200"])
+    assert solver == (0 if command in SOLVER_COMMANDS else 2)
+    rational = cli.main(argv + ["--arithmetic", "rational"])
+    assert rational == (0 if command == "psi" else 2)
+    capsys.readouterr()

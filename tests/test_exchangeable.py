@@ -93,6 +93,16 @@ class TestRepresent:
             assert report["weight_sum"] == pytest.approx(1.0, abs=1e-8)
             assert mes.total_variation <= uv_bound(n) + 1e-6
 
+    def test_constructive_fallback_without_lp_primal(self):
+        # max_rounds=0 leaves kappa without a primal, so the master
+        # decomposition falls back to polarization + Vandermonde nodes
+        d = mu_binary(3, 1)
+        mes = represent(d, "constructive", SolverOptions(max_rounds=0))
+        report = verify_representation(d, mes)
+        assert report["residual"] <= 1e-9
+        assert report["weight_sum"] == pytest.approx(1.0, abs=1e-9)
+        assert mes.total_variation > represent(d, "constructive").total_variation
+
     def test_lp_beats_constructive(self):
         rng = random.Random(43)
         for _ in range(5):

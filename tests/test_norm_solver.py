@@ -4,12 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from tensornorm._colgen import SolverOptions
-from tensornorm.norm_solver import (SpaceDescriptor, cssp_l1, kappa, l1, l2dim2,
-                                    norm_pi, norm_pip, norm_pis, norm_pisp,
-                                    polarization_constants)
+from tensornorm import lp_engine
+from tensornorm._colgen import SolverOptions, run_column_generation
+from tensornorm.norm_solver import (SpaceDescriptor, _PowerFamily, _simplex_lattice,
+                                    cssp_l1, kappa, l1, l2dim2, norm_pi, norm_pip,
+                                    norm_pis, norm_pisp, polarization_constants)
 from tensornorm.chebyshev import psi
-from tensornorm.exchangeable import uv_bound
+from tensornorm.exchangeable import load_distribution, mu_binary, uv_bound
 from tensornorm.tensor_core import (SymmetricTensor, multi_indices, power,
                                     tensor_pushforward, wedge)
 
@@ -248,3 +249,53 @@ class TestSolverInvariants:
         for u in np.linspace(0, 1, 257):
             col = np.asarray([u ** (3 - k) * (1 - u) ** k for k in range(4)])
             assert abs(float(col @ dual)) <= 1.0 + 1e-7
+
+
+class _SingleSeedFamily(_PowerFamily):
+    """Seeds the master with e_1 alone, so its first LPs are infeasible."""
+
+    def seeds(self):
+        return [(1.0, 0.0)]
+
+
+class TestInfeasibleMaster:
+    @pytest.mark.parametrize("target, value", [
+        (power((0.3, 0.7), 4).vector(), 1.0),
+        (mu_binary(4, 2).tensor.vector(), 35.0 / 3.0),
+    ])
+    def test_farkas_pricing_recovers(self, monkeypatch, target, value):
+        statuses = []
+        solve = lp_engine.solve_min_tv
+
+        def counted(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            statuses.append(sol.status)
+            return sol
+
+        monkeypatch.setattr(lp_engine, "solve_min_tv", counted)
+        nb = run_column_generation(target, _SingleSeedFamily(2, 4, signed=False))
+        assert statuses[0] == "infeasible"
+        assert statuses[-1] == "optimal"
+        assert nb.converged
+        assert nb.contains(value, 1e-9)
+        assert nb.gap() <= 1e-7
+
+
+class TestUncertifiedLowerEnd:
+    @pytest.mark.xfail(strict=True, reason="for m >= 3 the lower end rests on grid + "
+                                           "polish pricing and is not a certificate")
+    def test_scaled_dual_feasible_on_fine_lattice(self):
+        rng = random.Random("simplex:law-m3-n4:14")
+        idx = multi_indices(3, 4)
+        weights = [rng.random() for _ in idx]
+        total = math.fsum(weights)
+        d = load_distribution([(i, w / total) for i, w in zip(idx, weights)],
+                              states=range(3), order=4)
+        nb = norm_pisp(d.tensor, l1(3))
+        assert nb.converged
+        counts = _PowerFamily(3, 4, signed=False).counts
+        lattice = _simplex_lattice(3, 600)
+        cols = np.ones((len(lattice), len(idx)))
+        for c in range(3):
+            cols *= lattice[:, [c]] ** counts[:, c]
+        assert np.abs(cols @ np.asarray(nb.dual)).max() <= 1.0 + 1e-7
