@@ -14,9 +14,10 @@ columns the master LP may combine, plus a pricing oracle that maximises
 
 While the master LP is infeasible the oracle prices its Farkas
 certificate until the target enters the span.  Iteration stops once the
-pricing violation and the implied bracket gap are both below tolerance,
-when the oracle adds no new column, or after ``max_rounds`` rounds
-(``converged`` is then False and the last bracket is returned).
+pricing violation and the implied bracket gap are both below tolerance
+(``converged`` is True only if that master LP ended optimal), when the
+oracle adds no new column, or after ``max_rounds`` rounds (``converged``
+is then False and the last bracket is returned).
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ def run_column_generation(target, family, opts: SolverOptions | None = None) -> 
             violation = oracle_max - 1.0
             gap = max(0.0, sol.objective * violation)
             if violation <= PRICING_TOL and gap <= opts.tol:
-                converged = True
+                # a master stopped at its iteration limit certifies nothing
+                converged = sol.status == "optimal"
                 break
         added = add(p_star)
         for q in extras:

@@ -40,7 +40,7 @@ class _Tableau:
         self.A = A
         self.b = b
         d = A.shape[0]
-        self.basis = list(range(A.shape[1] - d, A.shape[1]))  # artificials
+        self.basis = np.arange(A.shape[1] - d, A.shape[1])  # artificials
         self.binv = np.eye(d)
         self.xb = b.copy()
         self.pivots = 0
@@ -56,13 +56,13 @@ class _Tableau:
         self.xb = self.binv @ self.b
         self.xb[np.abs(self.xb) < 1e-13] = 0.0
 
-    def pivot(self, j, row):
-        u = self.binv @ self.A[:, j]
-        piv = u[row]
-        self.binv[row] /= piv
-        for i in range(len(u)):
-            if i != row and u[i] != 0.0:
-                self.binv[i] -= u[i] * self.binv[row]
+    def pivot(self, j, row, u):
+        """Enter column j at ``row``; u is binv @ A[:, j]."""
+        self.binv[row] /= u[row]
+        # rank-1 update; rows with u == 0 are skipped so their zeros keep sign
+        rows = u.nonzero()[0]
+        rows = rows[rows != row]
+        self.binv[rows] -= u[rows, None] * self.binv[row]
         self.basis[row] = j
         self.xb = self.binv @ self.b
         self.xb[(self.xb < 0) & (self.xb > -1e-9)] = 0.0
@@ -78,7 +78,6 @@ def _run_phase(tab: _Tableau, costs, enterable, is_artificial, max_iters, bland_
     degenerate = 0
     bland = False
     blocked: set[int] = set()  # columns whose pivots were numerically unusable
-    idx_all = np.arange(tab.A.shape[1])
     while iters < max_iters:
         y = tab.binv.T @ costs[tab.basis]
         reduced = costs - y @ tab.A
@@ -86,17 +85,16 @@ def _run_phase(tab: _Tableau, costs, enterable, is_artificial, max_iters, bland_
         mask[tab.basis] = False
         for bj in blocked:
             mask[bj] = False
-        candidates = idx_all[mask & (reduced < -REDUCED_COST_TOL)]
+        candidates = (mask & (reduced < -REDUCED_COST_TOL)).nonzero()[0]
         if candidates.size == 0:
             return "optimal", iters
         if bland:
             j = int(candidates[0])
         else:
-            j = int(candidates[np.argmin(reduced[candidates])])
+            j = int(candidates[reduced[candidates].argmin()])
         u = tab.binv @ tab.A[:, j]
-        basis_arr = np.asarray(tab.basis)
-        art_rows = np.flatnonzero(is_artificial[basis_arr] & (np.abs(u) > _PIVOT_TOL)
-                                  & (tab.xb <= 1e-10))
+        art_rows = (is_artificial[tab.basis] & (np.abs(u) > _PIVOT_TOL)
+                    & (tab.xb <= 1e-10)).nonzero()[0]
         if art_rows.size:
             # a zero-valued artificial touched by the entering column must leave
             row = int(art_rows[0])
@@ -105,17 +103,16 @@ def _run_phase(tab: _Tableau, costs, enterable, is_artificial, max_iters, bland_
             pos = u > _PIVOT_TOL
             if not pos.any():
                 raise RuntimeError("unbounded simplex direction in a bounded program")
-            ratios = np.full(d, np.inf)
-            ratios[pos] = tab.xb[pos] / u[pos]
+            ratios = np.divide(tab.xb, u, out=np.full(d, np.inf), where=pos)
             theta = float(ratios.min())
-            ties = np.flatnonzero(ratios <= theta + 1e-12)
-            art_ties = ties[is_artificial[basis_arr[ties]]]
+            ties = (ratios <= theta + 1e-12).nonzero()[0]
+            art_ties = ties[is_artificial[tab.basis[ties]]]
             if art_ties.size:
                 row = int(art_ties[0])
             elif bland:
-                row = int(ties[np.argmin(basis_arr[ties])])
+                row = int(ties[tab.basis[ties].argmin()])
             else:
-                row = int(ties[np.argmax(np.abs(u[ties]))])
+                row = int(ties[np.abs(u[ties]).argmax()])
         if abs(u[row]) < 1e-9:
             # pivot too small to be trustworthy: rebuild the inverse and
             # set the column aside until the basis changes
@@ -127,7 +124,7 @@ def _run_phase(tab: _Tableau, costs, enterable, is_artificial, max_iters, bland_
             degenerate += 1
             if degenerate > bland_after:
                 bland = True
-        tab.pivot(j, row)
+        tab.pivot(j, row, u)
         blocked.clear()
         iters += 1
     return "iteration-limit", iters
@@ -162,9 +159,9 @@ def solve_min_tv(columns, target, tol: float = FEASIBILITY_TOL,
     tab = _Tableau(A, b)
     c1 = np.concatenate([np.zeros(n_real), np.ones(d)])
     status, it1 = _run_phase(tab, c1, enterable, is_artificial, max_iters, bland_after)
-    art_level = float(sum(tab.xb[i] for i in range(d) if tab.basis[i] >= n_real))
+    art_level = float(sum(tab.xb[tab.basis >= n_real].tolist()))
     if status == "optimal" and art_level > max(tol, tol * float(np.abs(b).max())):
-        y = tab.binv.T @ c1[np.asarray(tab.basis)]
+        y = tab.binv.T @ c1[tab.basis]
         farkas = sign * y
         return LPSolution(np.zeros(n_cols), math.inf, farkas, "infeasible", it1)
 
@@ -172,9 +169,9 @@ def solve_min_tv(columns, target, tol: float = FEASIBILITY_TOL,
     status2, it2 = _run_phase(tab, c2, enterable, is_artificial, max_iters, bland_after)
 
     x = np.zeros(A.shape[1])
-    x[np.asarray(tab.basis)] = tab.xb
+    x[tab.basis] = tab.xb
     weights = x[:n_cols] - x[n_cols:n_real]
-    y = sign * (tab.binv.T @ c2[np.asarray(tab.basis)])
+    y = sign * (tab.binv.T @ c2[tab.basis])
     objective = float(np.abs(weights).sum())
     status_out = "optimal" if status == "optimal" and status2 == "optimal" else "iteration-limit"
     return LPSolution(weights, objective, y, status_out, it1 + it2)

@@ -97,16 +97,18 @@ def _poly_coeffs(yk: np.ndarray, n: int) -> np.ndarray:
     """Monomial coefficients of p(u) = sum_k y_k u^(n-k) (1-u)^k, lowest first."""
     coef = np.zeros(n + 1)
     for k in range(n + 1):
-        yv = yk[k]
-        if yv == 0.0:
-            continue
-        for j in range(k + 1):
-            coef[n - k + j] += yv * comb(k, j) * (-1) ** j
+        # (1-u)^k = sum_j (-1)^j C(k, j) u^j; each entry gets one term per k
+        coef[n - k:] += yk[k] * _signed_binomials(k)
     return coef
 
 
+@lru_cache(maxsize=64)
+def _signed_binomials(k: int) -> np.ndarray:
+    return np.asarray([(-1) ** j * comb(k, j) for j in range(k + 1)], dtype=float)
+
+
 def _roots_unit_interval(coef: np.ndarray) -> list[float]:
-    """Real roots in [0, 1] located by sign-change bisection on a fine grid."""
+    """Real roots in [0, 1]: sign changes on a 64*deg grid, then 80-step bisection."""
     deg = len(coef) - 1
     while deg > 0 and coef[deg] == 0.0:
         deg -= 1
@@ -115,26 +117,30 @@ def _roots_unit_interval(coef: np.ndarray) -> list[float]:
     c = coef[:deg + 1]
     grid = np.linspace(0.0, 1.0, max(512, 64 * deg) + 1)
     vals = np.polynomial.polynomial.polyval(grid, c)
+    a, b = vals[:-1], vals[1:]
+    # Horner in plain floats, step for step as numpy's polyval: same bits
+    rev = c[::-1].tolist()
+    lead, rest = rev[0], rev[1:]
     roots = []
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
+    for i in np.flatnonzero((a == 0.0) | (a * b < 0.0)).tolist():
+        flo = float(a[i])
+        if flo == 0.0:
             roots.append(float(grid[i]))
             continue
-        if a * b < 0.0:
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            flo = a
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = float(np.polynomial.polynomial.polyval(mid, c))
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (flo < 0) != (fm < 0):
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            fm = lead + mid * 0
+            for ci in rest:
+                fm = ci + fm * mid
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if (flo < 0) != (fm < 0):
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        roots.append(0.5 * (lo + hi))
     if vals[-1] == 0.0:
         roots.append(1.0)
     return roots
@@ -170,6 +176,9 @@ class _PowerFamily:
                              for eps in product((1, -1), repeat=m - 1)]
         else:
             self.patterns = [np.ones(m)]
+        # entry r of a pattern's factor is prod_c pat[c]^counts[r, c]
+        self.sign_factors = [np.prod(pat[None, :] ** counts, axis=1)
+                             for pat in self.patterns]
         self._grid = None
         self._grid_cols = None
 
@@ -249,8 +258,7 @@ class _PowerFamily:
         y = np.asarray(y, dtype=float)
         best_x, best_v = None, -1.0
         extras: list[tuple] = []
-        for pat in self.patterns:
-            sign_factor = np.prod(pat[None, :] ** self.counts, axis=1)
+        for pat, sign_factor in zip(self.patterns, self.sign_factors):
             yt = y * sign_factor
             if self.m == 2:
                 u, v = self._oracle_m2(yt)

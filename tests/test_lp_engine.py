@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from tensornorm.exchangeable import iid, represent
 from tensornorm.lp_engine import LPSolution, solve_min_tv, verify_solution
 
 KAPPA2_COLUMNS = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.25, 0.25, 0.25)]
@@ -100,3 +101,26 @@ class TestInvariants:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(2.0, abs=1e-9)
         assert verify_solution(cols, (2.0, 2.0, 2.0), sol)["all_ok"]
+
+
+class TestAgainstHighs:
+    def test_objective_matches_highs(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(20240601)
+        for trial in range(300):
+            d = int(rng.integers(2, 9))
+            n = int(rng.integers(d, 3 * d + 4))
+            cols = rng.uniform(-1, 1, size=(n, d))
+            target = rng.uniform(-1, 1, size=n) @ cols
+            sol = solve_min_tv(cols, target)
+            ref = optimize.linprog(np.ones(2 * n), A_eq=np.hstack([cols.T, -cols.T]),
+                                   b_eq=target, bounds=(0, None), method="highs")
+            assert sol.status == "optimal" and ref.status == 0, trial
+            assert sol.objective == pytest.approx(ref.fun, rel=1e-7), trial
+
+    @pytest.mark.xfail(strict=True, reason="the master LP is not equilibrated: target "
+                                           "entries from 2.6e-6 to 0.17 leave a 1.4e-4 "
+                                           "duality gap inside the absolute tolerances")
+    def test_iid_law_is_one_atom(self):
+        tv = represent(iid((0.2, 0.8), 8), "lp").total_variation
+        assert tv == pytest.approx(1.0, abs=1e-9)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -279,6 +280,20 @@ class TestInfeasibleMaster:
         assert nb.converged
         assert nb.contains(value, 1e-9)
         assert nb.gap() <= 1e-7
+
+
+def test_iteration_limit_master_is_not_converged(monkeypatch):
+    solve = lp_engine.solve_min_tv
+
+    def limited(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        if sol.status == "optimal":
+            sol = dataclasses.replace(sol, status="iteration-limit")
+        return sol
+
+    assert norm_pisp(power((0.3, 0.7), 4), l1(2)).converged
+    monkeypatch.setattr(lp_engine, "solve_min_tv", limited)
+    assert not norm_pisp(power((0.3, 0.7), 4), l1(2)).converged
 
 
 class TestUncertifiedLowerEnd:
