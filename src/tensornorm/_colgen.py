@@ -17,7 +17,9 @@ certificate until the target enters the span.  Iteration stops once the
 pricing violation and the implied bracket gap are both below tolerance
 (``converged`` is True only if that master LP ended optimal), when the
 oracle adds no new column, or after ``max_rounds`` rounds (``converged``
-is then False and the last bracket is returned).
+is then False and the last bracket is returned).  A master LP that stops
+at its iteration limit before it finds a feasible point ends the solve
+with the bracket [0, inf], as an infeasible one does.
 """
 
 from __future__ import annotations
@@ -101,6 +103,8 @@ def run_column_generation(target, family, opts: SolverOptions | None = None) -> 
     while rounds < opts.max_rounds:
         rounds += 1
         sol = lp_engine.solve_min_tv(cols, target)
+        if sol.objective == math.inf and sol.status == "iteration-limit":
+            break  # phase 1 stopped early: the master has no feasible point yet
         # sol.dual is the Farkas certificate when the master is infeasible
         p_star, oracle_max, extras = family.oracle(sol.dual)
         if sol.status == "infeasible":
@@ -119,7 +123,7 @@ def run_column_generation(target, family, opts: SolverOptions | None = None) -> 
         if not added:
             break  # dual-degenerate stall: maximiser already priced in
 
-    if sol is None or sol.status == "infeasible":
+    if sol is None or sol.objective == math.inf:
         return NormBounds(0.0, math.inf, None, None, rounds, False, None)
 
     upper = sol.objective

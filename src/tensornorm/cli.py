@@ -10,15 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
 from . import euclid2, exchangeable, norm_solver
 from ._colgen import SolverOptions
 from .chebyshev import optimal_decomposition_m2, psi
-
-ENV_MAX_ITERS = "TENSORNORM_MAX_ITERS"
 
 
 class ValidationError(Exception):
@@ -117,14 +114,7 @@ def _emit(obj, fmt: str, out) -> None:
 
 
 def _options(args) -> SolverOptions:
-    max_iters = args.max_iters
-    env = os.environ.get(ENV_MAX_ITERS)
-    if env is not None:
-        try:
-            max_iters = int(env)
-        except ValueError:
-            raise ValidationError(f"{ENV_MAX_ITERS} must be an integer, got {env!r}")
-    return SolverOptions(tol=args.tol, max_rounds=max_iters)
+    return SolverOptions(tol=args.tol, max_rounds=args.max_iters)
 
 
 def _cmd_psi(args, out) -> int:
@@ -279,14 +269,10 @@ def _parse_matrix(text: str):
 
 
 def _cmd_euclid2(args, out) -> int:
-    opts = _options(args)
     if args.what == "norms":
         pi_v, pisp_v, pip_v = euclid2.norms_ab(args.a, args.b)
         _emit({"a": args.a, "b": args.b, "pi": pi_v, "pisp": pisp_v, "pip": pip_v},
               args.format, out)
-        return 0
-    if args.what == "constants":
-        _emit(euclid2.constants_l2(opts), args.format, out)
         return 0
     if args.what == "points":
         try:
@@ -299,7 +285,7 @@ def _cmd_euclid2(args, out) -> int:
     if args.what == "halfcircle":
         if args.matrix is None:
             raise ValidationError("--matrix is required for halfcircle")
-        nb = euclid2.half_circle_lp(_parse_matrix(args.matrix), opts)
+        nb = euclid2.half_circle_lp(_parse_matrix(args.matrix), _options(args))
         _emit(nb.to_json_dict(), args.format, out)
         return 0 if nb.converged else 3
     raise ValidationError(f"unknown euclid2 action {args.what!r}")
@@ -373,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_extend_bounds)
 
     s = subs.add_parser("euclid2", help="Euclidean 2x2 gallery")
-    s.add_argument("--what", choices=("norms", "constants", "points", "halfcircle"),
-                   required=True)
+    s.add_argument("--what", choices=("norms", "points", "halfcircle"), required=True)
     s.add_argument("--a", type=float, default=0.0)
     s.add_argument("--b", type=float, default=0.0)
     s.add_argument("--kind", choices=("pi", "pisp", "pip"), default="pisp")

@@ -27,7 +27,7 @@ _REFACTOR_EVERY = 256
 @dataclass
 class LPSolution:
     weights: np.ndarray      # signed weights a_k, length N
-    objective: float         # sum |a_k| (math.inf when infeasible)
+    objective: float         # sum |a_k| (math.inf when no feasible point was found)
     dual: np.ndarray         # length-d dual vector / Farkas certificate
     status: str              # 'optimal' | 'infeasible' | 'iteration-limit'
     iterations: int = 0
@@ -159,8 +159,11 @@ def solve_min_tv(columns, target, tol: float = FEASIBILITY_TOL,
     tab = _Tableau(A, b)
     c1 = np.concatenate([np.zeros(n_real), np.ones(d)])
     status, it1 = _run_phase(tab, c1, enterable, is_artificial, max_iters, bland_after)
+    if status != "optimal":
+        # artificials are still basic, so no weights reconstruct the target yet
+        return LPSolution(np.zeros(n_cols), math.inf, np.zeros(d), status, it1)
     art_level = float(sum(tab.xb[tab.basis >= n_real].tolist()))
-    if status == "optimal" and art_level > max(tol, tol * float(np.abs(b).max())):
+    if art_level > max(tol, tol * float(np.abs(b).max())):
         y = tab.binv.T @ c1[tab.basis]
         farkas = sign * y
         return LPSolution(np.zeros(n_cols), math.inf, farkas, "infeasible", it1)
@@ -173,8 +176,7 @@ def solve_min_tv(columns, target, tol: float = FEASIBILITY_TOL,
     weights = x[:n_cols] - x[n_cols:n_real]
     y = sign * (tab.binv.T @ c2[tab.basis])
     objective = float(np.abs(weights).sum())
-    status_out = "optimal" if status == "optimal" and status2 == "optimal" else "iteration-limit"
-    return LPSolution(weights, objective, y, status_out, it1 + it2)
+    return LPSolution(weights, objective, y, status2, it1 + it2)
 
 
 def verify_solution(columns, target, sol: LPSolution, tol: float = 1e-7) -> dict:

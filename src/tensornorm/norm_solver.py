@@ -73,6 +73,19 @@ class PolarizationConstants:
 
 GRID_RESOLUTION = 64   # simplex pricing lattice for m >= 3
 GRID_BUDGET = 30000    # cap on the size of the pricing and seed lattices
+POLISH_ITERS = 80      # projected-gradient steps per grid start
+
+
+def _monomials(x, counts) -> np.ndarray:
+    """prod_c x[..., c] ** counts[:, c] for one point x or a batch of points.
+
+    Factors are multiplied in coordinate order, zero exponents skipped.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.ones(x.shape[:-1] + (len(counts),))
+    for c, k in enumerate(counts.T):
+        out[..., k > 0] *= x[..., c, None] ** k[k > 0]
+    return out
 
 
 def _simplex_lattice(m: int, resolution: int) -> np.ndarray:
@@ -108,7 +121,7 @@ def _signed_binomials(k: int) -> np.ndarray:
 
 
 def _roots_unit_interval(coef: np.ndarray) -> list[float]:
-    """Real roots in [0, 1]: sign changes on a 64*deg grid, then 80-step bisection."""
+    """Real roots in [0, 1]: sign changes on a 64*deg grid, then at most 80 bisection steps."""
     deg = len(coef) - 1
     while deg > 0 and coef[deg] == 0.0:
         deg -= 1
@@ -130,6 +143,8 @@ def _roots_unit_interval(coef: np.ndarray) -> list[float]:
         lo, hi = float(grid[i]), float(grid[i + 1])
         for _ in range(80):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # adjacent doubles: every further step repeats this one
             fm = lead + mid * 0
             for ci in rest:
                 fm = ci + fm * mid
@@ -166,19 +181,17 @@ class _PowerFamily:
         self.target = None if target is None else np.asarray(target, dtype=float)
         self.symmetrize = symmetrize  # permutation-invariant targets share orbits
         self.indices = multi_indices(m, n)
-        counts = np.zeros((len(self.indices), m), dtype=int)
-        for r, idx in enumerate(self.indices):
-            for i in idx:
-                counts[r, i] += 1
-        self.counts = counts
+        self.counts = np.asarray([np.bincount(idx, minlength=m) for idx in self.indices])
         if signed:
             self.patterns = [np.asarray((1,) + eps, dtype=float)
                              for eps in product((1, -1), repeat=m - 1)]
         else:
             self.patterns = [np.ones(m)]
-        # entry r of a pattern's factor is prod_c pat[c]^counts[r, c]
-        self.sign_factors = [np.prod(pat[None, :] ** counts, axis=1)
-                             for pat in self.patterns]
+        self.sign_factors = [_monomials(pat, self.counts) for pat in self.patterns]
+        # d/dx_c x^counts = counts[:, c] x^(counts - e_c), nonzero where counts[:, c] > 0
+        eye = np.eye(m, dtype=int)
+        self._grad_terms = [(k > 0, (self.counts - eye[c])[k > 0], k[k > 0])
+                            for c, k in enumerate(self.counts.T)]
         self._grid = None
         self._grid_cols = None
 
@@ -187,13 +200,7 @@ class _PowerFamily:
         return tuple(round(float(v), 12) for v in x)
 
     def column(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.ones(len(self.indices))
-        for c in range(self.m):
-            col = self.counts[:, c]
-            mask = col > 0
-            out[mask] *= x[c] ** col[mask]
-        return out
+        return _monomials(x, self.counts)
 
     def primal(self, params, weights, prune):
         terms = []
@@ -261,7 +268,7 @@ class _PowerFamily:
         for pat, sign_factor in zip(self.patterns, self.sign_factors):
             yt = y * sign_factor
             if self.m == 2:
-                u, v = self._oracle_m2(yt)
+                u, v = _max_abs_poly01(_poly_coeffs(yt, self.n))
                 x = np.asarray([u, 1.0 - u])
             else:
                 x, v, more = self._oracle_grid(yt)
@@ -274,22 +281,13 @@ class _PowerFamily:
             extras.extend(set(permutations(best_x)))
         return best_x, best_v, extras
 
-    def _oracle_m2(self, y) -> tuple[float, float]:
-        coef = _poly_coeffs(y, self.n)
-        return _max_abs_poly01(coef)
-
     def _oracle_grid(self, y):
         if self._grid is None:
             res = GRID_RESOLUTION
             while comb(res + self.m - 1, self.m - 1) > GRID_BUDGET and res > 2:
                 res -= 1
             self._grid = _lattice_cached(self.m, res)
-            cols = np.ones((len(self._grid), len(self.indices)))
-            for c in range(self.m):
-                cnt = self.counts[:, c]
-                mask = cnt > 0
-                cols[:, mask] *= self._grid[:, c][:, None] ** cnt[mask][None, :]
-            self._grid_cols = cols
+            self._grid_cols = _monomials(self._grid, self.counts)
         vals = self._grid_cols @ y
         order = np.argsort(-np.abs(vals))
         best_x, best_v = None, -1.0
@@ -313,33 +311,20 @@ class _PowerFamily:
         return x / s if s > 0 else x
 
     def _poly_value_grad(self, x, y):
-        mon = np.ones(len(self.indices))
-        for c in range(self.m):
-            cnt = self.counts[:, c]
-            mask = cnt > 0
-            mon[mask] *= x[c] ** cnt[mask]
-        val = float(mon @ y)
+        val = float(_monomials(x, self.counts) @ y)
         grad = np.zeros(self.m)
-        for c in range(self.m):
-            cnt = self.counts[:, c]
-            mask = cnt > 0
+        for c, (rows, sub, k) in enumerate(self._grad_terms):
+            # zero-filled to full length, so the dot sums in the same order as the value
             part = np.zeros(len(self.indices))
-            sub = np.ones(mask.sum())
-            for c2 in range(self.m):
-                cnt2 = self.counts[mask, c2] - (1 if c2 == c else 0)
-                pos = cnt2 > 0
-                if pos.any():
-                    sub[pos] *= x[c2] ** cnt2[pos]
-            part[mask] = cnt[mask] * sub
+            part[rows] = k * _monomials(x, sub)
             grad[c] = float(part @ y)
         return val, grad
 
-    def _polish(self, x0, y, sign, iters: int = 80):
+    def _polish(self, x0, y, sign):
         x = np.asarray(x0, dtype=float).copy()
-        val, _ = self._poly_value_grad(x, y)
-        f = sign * val
+        f = sign * self._poly_value_grad(x, y)[0]
         step = 0.25
-        for _ in range(iters):
+        for _ in range(POLISH_ITERS):
             _, grad = self._poly_value_grad(x, y)
             g = sign * grad
             g = g - g.mean()

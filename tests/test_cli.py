@@ -13,12 +13,10 @@ CMD = [sys.executable, "-m", "tensornorm.cli"]
 PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
-def run_cli(*args, stdin=None, env=None):
+def run_cli(*args, stdin=None):
     full_env = dict(os.environ)
     full_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, full_env.get("PYTHONPATH")) if p)
-    if env:
-        full_env.update(env)
     return subprocess.run(CMD + list(args), capture_output=True, text=True,
                           input=stdin, env=full_env)
 
@@ -67,11 +65,6 @@ class TestKappa:
         assert r.returncode == 3
         payload = json.loads(r.stdout)
         assert payload["converged"] is False
-
-    def test_env_override_wins(self):
-        r = run_cli("kappa", "--n", "4", "--max-iters", "200",
-                    env={"TENSORNORM_MAX_ITERS": "1"})
-        assert r.returncode == 3
 
 
 class TestRepresent:
@@ -145,6 +138,12 @@ class TestEuclid2:
         r = run_cli("euclid2", "--what", "halfcircle", "--matrix", "0,1,0")
         payload = json.loads(r.stdout)
         assert payload["lower"] == pytest.approx(4.0, abs=1e-8)
+
+    def test_constants_only_under_constants(self, capsys):
+        # the plane constants have one command: constants --space l2
+        assert cli.main(["euclid2", "--what", "constants"]) == 2
+        assert cli.main(["constants", "--space", "l2"]) == 0
+        assert json.loads(capsys.readouterr().out)["csp"] == 3
 
 
 class TestDeterminism:

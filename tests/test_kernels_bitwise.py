@@ -1,6 +1,8 @@
-"""The fast kernels against the plain loops they replaced, bit for bit.
+"""The kernels against the plain loops they replaced, bit for bit.
 
-The m = 2 root isolation and the simplex pivot were rewritten for speed
+The m = 2 root isolation and the simplex pivot were rewritten for speed, and
+the monomial evaluations of ``_PowerFamily`` (columns, the pricing grid, sign
+factors, the polish value and gradient) were folded into one helper, all
 without changing a single floating-point operation.  The loop versions live
 on here as references, and every comparison is on the bytes of the result,
 so a reordered sum or a lost sign of zero fails.
@@ -14,8 +16,10 @@ import numpy as np
 import pytest
 
 from tensornorm import lp_engine, norm_solver
+from tensornorm._colgen import SolverOptions
 from tensornorm.lp_engine import solve_min_tv
-from tensornorm.norm_solver import _poly_coeffs, _roots_unit_interval, l1, norm_pis, norm_pisp
+from tensornorm.norm_solver import (_PowerFamily, _poly_coeffs, _roots_unit_interval, kappa,
+                                    l1, norm_pis, norm_pisp)
 from tensornorm.exchangeable import load_distribution
 from tensornorm.tensor_core import SymmetricTensor, multi_indices
 
@@ -85,6 +89,79 @@ def ref_pivot(self, j, row, u):
         self.refactor()
 
 
+def ref_counts(indices, m):
+    counts = np.zeros((len(indices), m), dtype=int)
+    for r, idx in enumerate(indices):
+        for i in idx:
+            counts[r, i] += 1
+    return counts
+
+
+def ref_sign_factors(patterns, counts):
+    return [np.prod(pat[None, :] ** counts, axis=1) for pat in patterns]
+
+
+def ref_column(self, x):
+    x = np.asarray(x, dtype=float)
+    out = np.ones(len(self.indices))
+    for c in range(self.m):
+        col = self.counts[:, c]
+        mask = col > 0
+        out[mask] *= x[c] ** col[mask]
+    return out
+
+
+def ref_grid(m):
+    res = norm_solver.GRID_RESOLUTION
+    while comb(res + m - 1, m - 1) > norm_solver.GRID_BUDGET and res > 2:
+        res -= 1
+    return norm_solver._lattice_cached(m, res)
+
+
+def ref_grid_cols(grid, counts):
+    cols = np.ones((len(grid), len(counts)))
+    for c in range(counts.shape[1]):
+        cnt = counts[:, c]
+        mask = cnt > 0
+        cols[:, mask] *= grid[:, c][:, None] ** cnt[mask][None, :]
+    return cols
+
+
+def ref_poly_value_grad(self, x, y):
+    mon = np.ones(len(self.indices))
+    for c in range(self.m):
+        cnt = self.counts[:, c]
+        mask = cnt > 0
+        mon[mask] *= x[c] ** cnt[mask]
+    val = float(mon @ y)
+    grad = np.zeros(self.m)
+    for c in range(self.m):
+        cnt = self.counts[:, c]
+        mask = cnt > 0
+        part = np.zeros(len(self.indices))
+        sub = np.ones(mask.sum())
+        for c2 in range(self.m):
+            cnt2 = self.counts[mask, c2] - (1 if c2 == c else 0)
+            pos = cnt2 > 0
+            if pos.any():
+                sub[pos] *= x[c2] ** cnt2[pos]
+        part[mask] = cnt[mask] * sub
+        grad[c] = float(part @ y)
+    return val, grad
+
+
+def with_ref_tables(init):
+    """``_PowerFamily.__init__`` followed by the reference counts, signs and grid."""
+    def wrapped(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.counts = ref_counts(self.indices, self.m)
+        self.sign_factors = ref_sign_factors(self.patterns, self.counts)
+        if self.m > 2:
+            self._grid = ref_grid(self.m)
+            self._grid_cols = ref_grid_cols(self._grid, self.counts)
+    return wrapped
+
+
 def same_bits(a, b) -> bool:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -130,6 +207,8 @@ def test_roots_random_polynomials(seed):
     [0.3, -2.0, 0.0],                 # degree 1 after trimming
     [1.0, -6.0, 11.0, -6.0],          # (1-u)(1-2u)(1-3u): roots 1/3, 1/2, 1
     [(0.5 - 1e-12) ** 2, -2 * (0.5 - 1e-12), 1.0],   # near-double root
+    [-0.5, 0.0, 1.0],                 # bracket collapses onto lo: mid == lo
+    [-0.2, 0.0, 1.0],                 # bracket collapses onto hi: mid == hi
 ])
 def test_roots_edge_cases(coef):
     coef = np.asarray(coef, dtype=float)
@@ -144,6 +223,14 @@ def test_edge_cases_hit_their_branches():
     root = 3 / 1024 + 1 / 4096
     assert ref_roots_unit_interval(np.asarray([-root, 1.0])) == [root]
     assert ref_roots_unit_interval(np.asarray([1.0, -1.0])) == [1.0]
+    # no midpoint is an exact zero, so bisection ends on two adjacent doubles
+    polyval = np.polynomial.polynomial.polyval
+    c = [-0.5, 0.0, 1.0]
+    r = ref_roots_unit_interval(np.asarray(c))[0]
+    assert polyval(r, c) < 0 < polyval(np.nextafter(r, 1), c)     # r is lo
+    c = [-0.2, 0.0, 1.0]
+    r = ref_roots_unit_interval(np.asarray(c))[0]
+    assert polyval(np.nextafter(r, 0), c) < 0 < polyval(r, c)     # r is hi
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -152,6 +239,58 @@ def test_poly_coeffs(seed):
     n = rng.randint(1, 16)
     y = np.asarray([rng.uniform(-2, 2) if rng.random() < 0.8 else 0.0 for _ in range(n + 1)])
     assert same_bits(_poly_coeffs(y, n), ref_poly_coeffs(y, n))
+
+
+# ---------------------------------------------------------------------------
+# monomials of _PowerFamily
+
+FAMILIES = [(2, 1), (2, 7), (3, 1), (3, 4), (4, 3), (4, 5), (5, 2), (5, 4)]
+
+
+def _points(m, seed):
+    """Seeded points on the simplex, with zero coordinates, signed and off the sphere."""
+    rng = np.random.default_rng(seed)
+    pts = [np.eye(m)[0], np.full(m, 1.0 / m)]
+    for _ in range(6):
+        x = rng.dirichlet(np.ones(m))
+        pts.append(x)
+        x = x.copy()
+        x[rng.integers(m, size=rng.integers(1, m))] = 0.0
+        pts.append(x / x.sum())
+        pts.append(x * rng.choice((-1.0, 1.0), size=m))
+        pts.append(rng.uniform(-3, 3, size=m))
+    return pts
+
+
+@pytest.mark.parametrize("m, n", FAMILIES)
+def test_counts_and_sign_factors(m, n):
+    fam = _PowerFamily(m, n, signed=True)
+    counts = ref_counts(fam.indices, m)
+    assert fam.counts.dtype == counts.dtype and same_bits(fam.counts, counts)
+    ref = ref_sign_factors(fam.patterns, counts)
+    assert len(fam.sign_factors) == len(ref) == 2 ** (m - 1)
+    for got, want in zip(fam.sign_factors, ref):
+        assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("m, n", FAMILIES)
+def test_column_and_polish_value_grad(m, n):
+    fam = _PowerFamily(m, n, signed=False)
+    y = np.random.default_rng(m * 100 + n).uniform(-2, 2, size=len(fam.indices))
+    for x in _points(m, m * 100 + n):
+        assert same_bits(fam.column(x), ref_column(fam, x))
+        assert same_bits(fam.column(tuple(x)), ref_column(fam, tuple(x)))
+        val, grad = fam._poly_value_grad(x, y)
+        ref_val, ref_g = ref_poly_value_grad(fam, x, y)
+        assert same_bits(val, ref_val) and same_bits(grad, ref_g)
+
+
+@pytest.mark.parametrize("m, n", [(3, 4), (4, 3), (5, 2)])
+def test_pricing_grid(m, n):
+    fam = _PowerFamily(m, n, signed=False)
+    fam._oracle_grid(np.ones(len(fam.indices)))
+    assert fam._grid is ref_grid(m)
+    assert same_bits(fam._grid_cols, ref_grid_cols(fam._grid, fam.counts))
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +395,9 @@ def _patched(monkeypatch, fn):
     calls = {}
 
     def counted(name, ref):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            return ref(*args)
+            return ref(*args, **kwargs)
         return wrapped
 
     with monkeypatch.context() as mp:
@@ -266,6 +405,11 @@ def _patched(monkeypatch, fn):
         mp.setattr(norm_solver, "_roots_unit_interval",
                    counted("roots", ref_roots_unit_interval))
         mp.setattr(norm_solver, "_poly_coeffs", counted("coeffs", ref_poly_coeffs))
+        mp.setattr(_PowerFamily, "__init__",
+                   counted("tables", with_ref_tables(_PowerFamily.__init__)))
+        mp.setattr(_PowerFamily, "column", counted("column", ref_column))
+        mp.setattr(_PowerFamily, "_poly_value_grad",
+                   counted("value_grad", ref_poly_value_grad))
         old = fn()
     return new, old, calls
 
@@ -286,5 +430,37 @@ def test_norm_pisp_m3_whole_solve(monkeypatch):
     total = math.fsum(w)
     d = load_distribution([(i, v / total) for i, v in zip(idx, w)], states=range(3), order=3)
     new, old, calls = _patched(monkeypatch, lambda: norm_pisp(d.tensor, l1(3)))
-    assert new.iterations > 1 and calls["pivot"]
+    assert new.iterations > 1 and calls["pivot"] and calls["column"] and calls["value_grad"]
+    _assert_same_bounds(new, old)
+
+
+def test_norm_pis_m3_signed_whole_solve(monkeypatch):
+    rng = random.Random("bitwise:pis:m3")
+    t = SymmetricTensor(3, 3, {i: rng.uniform(-1, 1) for i in multi_indices(3, 3)})
+    # four rounds of grid + polish pricing over all four sign patterns; a
+    # converged solve takes about 50 rounds
+    opts = SolverOptions(max_rounds=4)
+    new, old, calls = _patched(monkeypatch, lambda: norm_pis(t, l1(3), opts))
+    assert new.iterations == 4 and calls["tables"] and calls["value_grad"]
+    _assert_same_bounds(new, old)
+
+
+def test_norm_pisp_m4_whole_solve(monkeypatch):
+    rng = random.Random("bitwise:pisp:m4")
+    t = SymmetricTensor(4, 3, {i: rng.random() for i in multi_indices(4, 3)})
+    opts = SolverOptions(max_rounds=10)   # of 37 to convergence
+    new, old, calls = _patched(monkeypatch, lambda: norm_pisp(t, l1(4), opts))
+    assert new.iterations == 10 and calls["tables"] and calls["value_grad"]
+    _assert_same_bounds(new, old)
+
+
+def test_kappa3_whole_solve(monkeypatch):
+    # kappa prices with symmetrize=True and caches its result
+    def solve():
+        norm_solver._kappa_cached.cache_clear()
+        return kappa(3)
+
+    new, old, calls = _patched(monkeypatch, solve)
+    norm_solver._kappa_cached.cache_clear()
+    assert new.iterations > 1 and calls["tables"] and calls["value_grad"]
     _assert_same_bounds(new, old)

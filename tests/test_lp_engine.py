@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -35,6 +36,17 @@ class TestBasicSolves:
     def test_zero_target(self):
         sol = solve_min_tv([(1.0, 2.0)], (0.0, 0.0))
         assert sol.status == "optimal" and sol.objective == 0.0
+
+    def test_phase_one_cut_short_is_no_solution(self):
+        # artificials are still basic after two pivots: no weights may be returned
+        rng = np.random.default_rng(6)
+        cols = rng.uniform(-1, 1, size=(30, 6))
+        target = rng.uniform(-1, 1, size=30) @ cols
+        sol = solve_min_tv(cols, target, max_iters=2)
+        assert sol.status == "iteration-limit" and sol.iterations == 2
+        assert sol.objective == math.inf
+        assert not sol.weights.any()
+        assert solve_min_tv(cols, target).status == "optimal"
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -296,6 +296,15 @@ def test_iteration_limit_master_is_not_converged(monkeypatch):
     assert not norm_pisp(power((0.3, 0.7), 4), l1(2)).converged
 
 
+def test_phase_one_cut_short_gives_no_bracket(monkeypatch):
+    solve = lp_engine.solve_min_tv
+    monkeypatch.setattr(lp_engine, "solve_min_tv",
+                        lambda cols, target: solve(cols, target, max_iters=1))
+    nb = norm_pisp(power((0.3, 0.7), 4), l1(2))
+    assert (nb.lower, nb.upper, nb.primal, nb.dual) == (0.0, math.inf, None, None)
+    assert nb.iterations == 1 and not nb.converged
+
+
 class TestUncertifiedLowerEnd:
     @pytest.mark.xfail(strict=True, reason="for m >= 3 the lower end rests on grid + "
                                            "polish pricing and is not a certificate")
