@@ -310,23 +310,24 @@ class _PowerFamily:
         s = np.abs(x).sum()
         return x / s if s > 0 else x
 
-    def _poly_value_grad(self, x, y):
-        val = float(_monomials(x, self.counts) @ y)
+    def _poly_value(self, x, y):
+        return float(_monomials(x, self.counts) @ y)
+
+    def _poly_grad(self, x, y):
         grad = np.zeros(self.m)
         for c, (rows, sub, k) in enumerate(self._grad_terms):
             # zero-filled to full length, so the dot sums in the same order as the value
             part = np.zeros(len(self.indices))
             part[rows] = k * _monomials(x, sub)
             grad[c] = float(part @ y)
-        return val, grad
+        return grad
 
     def _polish(self, x0, y, sign):
         x = np.asarray(x0, dtype=float).copy()
-        f = sign * self._poly_value_grad(x, y)[0]
+        f = sign * self._poly_value(x, y)
         step = 0.25
         for _ in range(POLISH_ITERS):
-            _, grad = self._poly_value_grad(x, y)
-            g = sign * grad
+            g = sign * self._poly_grad(x, y)
             g = g - g.mean()
             gnorm = float(np.linalg.norm(g))
             if gnorm < 1e-15:
@@ -337,7 +338,7 @@ class _PowerFamily:
                 step *= 0.5
                 continue
             cand /= s
-            fc = sign * self._poly_value_grad(cand, y)[0]
+            fc = sign * self._poly_value(cand, y)
             if fc > f + 1e-17:
                 x, f = cand, fc
                 step = min(step * 1.6, 0.5)

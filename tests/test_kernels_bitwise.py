@@ -2,8 +2,9 @@
 
 The m = 2 root isolation and the simplex pivot were rewritten for speed, and
 the monomial evaluations of ``_PowerFamily`` (columns, the pricing grid, sign
-factors, the polish value and gradient) were folded into one helper, all
-without changing a single floating-point operation.  The loop versions live
+factors, the polish value and gradient) were folded into one helper, and the
+polish stopped computing a gradient it discards, all without changing a single
+floating-point operation.  The loop versions live
 on here as references, and every comparison is on the bytes of the result,
 so a reordered sum or a lost sign of zero fails.
 """
@@ -150,6 +151,34 @@ def ref_poly_value_grad(self, x, y):
     return val, grad
 
 
+def ref_polish(self, x0, y, sign):
+    x = np.asarray(x0, dtype=float).copy()
+    f = sign * ref_poly_value_grad(self, x, y)[0]
+    step = 0.25
+    for _ in range(80):
+        _, grad = ref_poly_value_grad(self, x, y)
+        g = sign * grad
+        g = g - g.mean()
+        gnorm = float(np.linalg.norm(g))
+        if gnorm < 1e-15:
+            break
+        cand = np.clip(x + step * g / gnorm, 0.0, None)
+        s = cand.sum()
+        if s <= 0:
+            step *= 0.5
+            continue
+        cand /= s
+        fc = sign * ref_poly_value_grad(self, cand, y)[0]
+        if fc > f + 1e-17:
+            x, f = cand, fc
+            step = min(step * 1.6, 0.5)
+        else:
+            step *= 0.5
+            if step < 1e-14:
+                break
+    return x, abs(f)
+
+
 def with_ref_tables(init):
     """``_PowerFamily.__init__`` followed by the reference counts, signs and grid."""
     def wrapped(self, *args, **kwargs):
@@ -280,9 +309,21 @@ def test_column_and_polish_value_grad(m, n):
     for x in _points(m, m * 100 + n):
         assert same_bits(fam.column(x), ref_column(fam, x))
         assert same_bits(fam.column(tuple(x)), ref_column(fam, tuple(x)))
-        val, grad = fam._poly_value_grad(x, y)
         ref_val, ref_g = ref_poly_value_grad(fam, x, y)
-        assert same_bits(val, ref_val) and same_bits(grad, ref_g)
+        assert same_bits(fam._poly_value(x, y), ref_val)
+        assert same_bits(fam._poly_grad(x, y), ref_g)
+
+
+@pytest.mark.parametrize("m, n", FAMILIES)
+def test_polish(m, n):
+    fam = _PowerFamily(m, n, signed=False)
+    rng = np.random.default_rng(m * 1000 + n)
+    for x0 in _points(m, m * 1000 + n):
+        y = rng.uniform(-2, 2, size=len(fam.indices))
+        for sign in (1.0, -1.0):
+            x, v = fam._polish(x0, y, sign)
+            ref_x, ref_v = ref_polish(fam, x0, y, sign)
+            assert same_bits(x, ref_x) and same_bits(v, ref_v)
 
 
 @pytest.mark.parametrize("m, n", [(3, 4), (4, 3), (5, 2)])
@@ -408,8 +449,7 @@ def _patched(monkeypatch, fn):
         mp.setattr(_PowerFamily, "__init__",
                    counted("tables", with_ref_tables(_PowerFamily.__init__)))
         mp.setattr(_PowerFamily, "column", counted("column", ref_column))
-        mp.setattr(_PowerFamily, "_poly_value_grad",
-                   counted("value_grad", ref_poly_value_grad))
+        mp.setattr(_PowerFamily, "_polish", counted("polish", ref_polish))
         old = fn()
     return new, old, calls
 
@@ -430,7 +470,7 @@ def test_norm_pisp_m3_whole_solve(monkeypatch):
     total = math.fsum(w)
     d = load_distribution([(i, v / total) for i, v in zip(idx, w)], states=range(3), order=3)
     new, old, calls = _patched(monkeypatch, lambda: norm_pisp(d.tensor, l1(3)))
-    assert new.iterations > 1 and calls["pivot"] and calls["column"] and calls["value_grad"]
+    assert new.iterations > 1 and calls["pivot"] and calls["column"] and calls["polish"]
     _assert_same_bounds(new, old)
 
 
@@ -441,7 +481,7 @@ def test_norm_pis_m3_signed_whole_solve(monkeypatch):
     # converged solve takes about 50 rounds
     opts = SolverOptions(max_rounds=4)
     new, old, calls = _patched(monkeypatch, lambda: norm_pis(t, l1(3), opts))
-    assert new.iterations == 4 and calls["tables"] and calls["value_grad"]
+    assert new.iterations == 4 and calls["tables"] and calls["polish"]
     _assert_same_bounds(new, old)
 
 
@@ -450,7 +490,7 @@ def test_norm_pisp_m4_whole_solve(monkeypatch):
     t = SymmetricTensor(4, 3, {i: rng.random() for i in multi_indices(4, 3)})
     opts = SolverOptions(max_rounds=10)   # of 37 to convergence
     new, old, calls = _patched(monkeypatch, lambda: norm_pisp(t, l1(4), opts))
-    assert new.iterations == 10 and calls["tables"] and calls["value_grad"]
+    assert new.iterations == 10 and calls["tables"] and calls["polish"]
     _assert_same_bounds(new, old)
 
 
@@ -462,5 +502,5 @@ def test_kappa3_whole_solve(monkeypatch):
 
     new, old, calls = _patched(monkeypatch, solve)
     norm_solver._kappa_cached.cache_clear()
-    assert new.iterations > 1 and calls["tables"] and calls["value_grad"]
+    assert new.iterations > 1 and calls["tables"] and calls["polish"]
     _assert_same_bounds(new, old)
