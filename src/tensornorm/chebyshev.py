@@ -100,11 +100,7 @@ class ChebDecomposition:
 
     def to_combination(self) -> SignedPowerCombination:
         """Merge repeated nodes into a SignedPowerCombination."""
-        bucket: dict = {}
-        for w, node in zip(self.coefficients, self.nodes):
-            bucket[node] = bucket.get(node, 0.0) + w
-        terms = tuple((w, v) for v, w in sorted(bucket.items()) if w != 0.0)
-        return SignedPowerCombination(2, self.n, terms)
+        return SignedPowerCombination(2, self.n, tuple(zip(self.coefficients, self.nodes))).merged()
 
     def evaluate_entries(self) -> np.ndarray:
         """Entries of sum_j w_j node_j^(tensor n) at the n+1 index classes.

@@ -265,6 +265,8 @@ def _parse_matrix(text: str):
         a, b, c = (float(v) for v in text.split(","))
     except ValueError:
         raise ValidationError("--matrix expects 'a00,a01,a11'")
+    if not all(map(math.isfinite, (a, b, c))):
+        raise ValidationError(f"--matrix entries must be finite numbers, got {text!r}")
     return [[a, b], [b, c]]
 
 
@@ -282,17 +284,27 @@ def _cmd_euclid2(args, out) -> int:
         payload = {"columns": ["u", "v", "w"], "rows": [list(p) for p in pts]}
         _emit(payload, args.format, out)
         return 0
-    if args.what == "halfcircle":
-        if args.matrix is None:
-            raise ValidationError("--matrix is required for halfcircle")
-        nb = euclid2.half_circle_lp(_parse_matrix(args.matrix), _options(args))
-        _emit(nb.to_json_dict(), args.format, out)
-        return 0 if nb.converged else 3
-    raise ValidationError(f"unknown euclid2 action {args.what!r}")
+    if args.matrix is None:
+        raise ValidationError("--matrix is required for halfcircle")
+    nb = euclid2.half_circle_lp(_parse_matrix(args.matrix), _options(args))
+    _emit(nb.to_json_dict(), args.format, out)
+    return 0 if nb.converged else 3
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _number(kind, minimum=-math.inf):
+    """argparse type: kind(text), finite and >= minimum, or exit 2."""
+    def parse(text: str):
+        value = kind(text)
+        if not (-math.inf < value < math.inf and value >= minimum):
+            bound = "" if minimum == -math.inf else f" >= {minimum}"
+            raise argparse.ArgumentTypeError(f"expected a finite number{bound}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type: "invalid float value"
+    return parse
 
 
 def _add_output(sub):
@@ -302,8 +314,8 @@ def _add_output(sub):
 
 def _add_solver(sub):
     _add_output(sub)
-    sub.add_argument("--tol", type=float, default=1e-7)
-    sub.add_argument("--max-iters", type=int, default=200)
+    sub.add_argument("--tol", type=_number(float, 0), default=1e-7)
+    sub.add_argument("--max-iters", type=_number(int, 0), default=200)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,16 +325,16 @@ def build_parser() -> argparse.ArgumentParser:
     subs = p.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("psi", help="closed-form decomposition cost of (a, b)")
-    s.add_argument("--a", type=float, required=True)
-    s.add_argument("--b", type=float, required=True)
+    s.add_argument("--a", type=_number(float), required=True)
+    s.add_argument("--b", type=_number(float), required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--arithmetic", choices=("float", "rational"), default="float")
     _add_output(s)
     s.set_defaults(fn=_cmd_psi)
 
     s = subs.add_parser("decompose", help="optimal two-state node decomposition")
-    s.add_argument("--a", type=float, required=True)
-    s.add_argument("--b", type=float, required=True)
+    s.add_argument("--a", type=_number(float), required=True)
+    s.add_argument("--b", type=_number(float), required=True)
     s.add_argument("--n", type=int, required=True)
     _add_output(s)
     s.set_defaults(fn=_cmd_decompose)
@@ -360,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("euclid2", help="Euclidean 2x2 gallery")
     s.add_argument("--what", choices=("norms", "points", "halfcircle"), required=True)
-    s.add_argument("--a", type=float, default=0.0)
-    s.add_argument("--b", type=float, default=0.0)
+    s.add_argument("--a", type=_number(float), default=0.0)
+    s.add_argument("--b", type=_number(float), default=0.0)
     s.add_argument("--kind", choices=("pi", "pisp", "pip"), default="pisp")
     s.add_argument("--resolution", type=int, default=64)
     s.add_argument("--matrix", type=str, default=None)

@@ -52,9 +52,7 @@ def _matrix_entries(matrix) -> tuple[float, float, float]:
 
 def trace_norm_2x2(matrix) -> float:
     """|lambda_1| + |lambda_2| through the closed 2x2 eigenvalue formula."""
-    a, b, c = _matrix_entries(matrix)
-    root = math.hypot(a - c, 2 * b)
-    return abs((a + c + root) / 2) + abs((a + c - root) / 2)
+    return trace_norm_bounds(matrix).upper
 
 
 def trace_norm_bounds(matrix) -> NormBounds:
@@ -242,26 +240,24 @@ def extreme_points(kind: str, resolution: int = 64) -> list[tuple[float, float, 
         for j in range(resolution):
             s = 2 * math.pi * j / resolution
             push((1.0, math.sin(s), math.cos(s)))
-    elif kind == "pisp":
+    elif kind in ("pisp", "pip"):
         for j in range(resolution + 1):
             s = math.pi * j / resolution
             push((1.0, math.sin(s), math.cos(s)))
-    elif kind == "pip":
-        for j in range(resolution + 1):
-            s = math.pi * j / resolution
-            push((1.0, math.sin(s), math.cos(s)))
-            push((abs(math.cos(s)), math.sin(s), math.cos(s)))
+            if kind == "pip":
+                push((abs(math.cos(s)), math.sin(s), math.cos(s)))
     else:
         raise ValueError(f"unknown ball kind {kind!r}")
     return pts
 
 
-def constants_l2(opts: SolverOptions | None = None, samples: int = 24) -> dict:
+def constants_l2(opts: SolverOptions | None = None) -> dict:
     """Plane constants with a numeric verification sweep.
 
     Returns the closed values {csp: 3, cssp: 3, cpsp: 2, cp_squared: 2}
     together with sampled maxima of the corresponding norm ratios.
     """
+    samples = 24
     max_lo = 0.0
     max_hi = 0.0
     for j in range(2 * samples):
@@ -270,18 +266,14 @@ def constants_l2(opts: SolverOptions | None = None, samples: int = 24) -> dict:
         nb = half_circle_lp(A, opts)
         max_lo = max(max_lo, nb.lower)
         max_hi = max(max_hi, nb.upper)
-    ratio_pp = 0.0
+    ratio_pp = cp_sq = 0.0
     for j in range(4 * samples + 1):
         phi = 2 * math.pi * j / (4 * samples)
         a, b = math.cos(phi), math.sin(phi)
         _, pisp_v, pip_v = norms_ab(a, b)
         if pip_v > 0:
             ratio_pp = max(ratio_pp, pisp_v / pip_v)
-    cp_sq = 0.0
-    for j in range(4 * samples + 1):
-        phi = 2 * math.pi * j / (4 * samples)
-        x = (math.cos(phi), math.sin(phi))
-        cp_sq = max(cp_sq, (abs(x[0]) + abs(x[1])) ** 2)
+        cp_sq = max(cp_sq, (abs(a) + abs(b)) ** 2)
     return {
         "csp": 3.0,
         "cssp": 3.0,

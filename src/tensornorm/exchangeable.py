@@ -76,10 +76,11 @@ def load_distribution(atoms, states=None, order: int | None = None) -> Exchangea
     """Build a distribution from (index-tuple, probability) atoms.
 
     Each atom's probability is spread uniformly over the orderings of its
-    index tuple, which symmetrises arbitrary input.  Probabilities must be
-    non-negative and sum to one within 1e-9.
+    index tuple, which symmetrises arbitrary input.  Indices must be
+    integers; probabilities must be finite, non-negative and sum to one
+    within 1e-9.
     """
-    atoms = list(atoms)
+    atoms = [(tuple(_state_index(i) for i in idx), float(p)) for idx, p in atoms]
     if not atoms:
         raise ValueError("at least one atom is required")
     if order is None:
@@ -92,12 +93,12 @@ def load_distribution(atoms, states=None, order: int | None = None) -> Exchangea
     total = 0.0
     entries: dict = {}
     for idx, p in atoms:
-        idx = tuple(int(i) for i in idx)
         if len(idx) != order:
             raise ValueError(f"atom index {idx} has length {len(idx)}, expected {order}")
         if any(not 0 <= i < m for i in idx):
             raise ValueError(f"atom index {idx} out of range for {m} states")
-        p = float(p)
+        if not math.isfinite(p):
+            raise ValueError(f"non-finite probability {p}")
         if p < -1e-15:
             raise ValueError(f"negative probability {p}")
         key = tuple(sorted(idx))
@@ -106,6 +107,16 @@ def load_distribution(atoms, states=None, order: int | None = None) -> Exchangea
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total}, expected 1")
     return ExchangeableDistribution(states, order, SymmetricTensor(m, order, entries))
+
+
+def _state_index(i) -> int:
+    """An atom index entry as an int; 1.0 is accepted, 0.9, NaN and "1" are not."""
+    try:
+        if int(i) == i:
+            return int(i)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"atom index entry {i!r} is not an integer")
 
 
 def iid(nu, order: int) -> ExchangeableDistribution:
@@ -149,8 +160,6 @@ def _master_decomposition(n: int, opts: SolverOptions) -> tuple:
     the sign expansion pushed through non-negative node combinations, which
     is exact but costs far more total variation.
     """
-    if n == 1:
-        return ((1.0, (1.0,)),)
     nb = norm_solver.kappa(n, opts)
     # any LP primal is a certified decomposition, converged or not
     if nb.primal is not None and nb.primal.terms:
@@ -211,9 +220,7 @@ def _merged_measure(atoms) -> SignedMixingMeasure:
 def verify_representation(d: ExchangeableDistribution,
                           measure: SignedMixingMeasure) -> dict:
     """Residual, weight-sum deviation, and total variation of a candidate."""
-    recon = measure.evaluate(d.order, d.num_states) if measure.atoms else \
-        SymmetricTensor(d.num_states, d.order, {})
-    residual = recon.residual_inf(d.tensor)
+    residual = measure.evaluate(d.order, d.num_states).residual_inf(d.tensor)
     return {
         "residual": residual,
         "weight_sum": measure.weight_sum(),
@@ -299,18 +306,6 @@ def _pushforward_chi(n: int, N: int, counts) -> SymmetricTensor:
     return SymmetricTensor(m, n, entries)
 
 
-def _compositions_desc(total: int, parts: int):
-    """Non-increasing compositions of total into the given number of parts >= 0."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions_desc(total - first, parts - 1):
-            if rest and rest[0] > first:
-                continue
-            yield (first,) + rest
-
-
 def kappa_nNm_bounds(n: int, N: int, m: int, exact: bool = False,
                      opts: SolverOptions | None = None) -> ExtendibilityBounds:
     """Bounds for N-extendible laws of order n on m states.
@@ -328,7 +323,9 @@ def kappa_nNm_bounds(n: int, N: int, m: int, exact: bool = False,
     lp_value = None
     if exact:
         best: NormBounds | None = None
-        for counts in _compositions_desc(N, m):
+        for counts in norm_solver._compositions(m, N)[::-1].tolist():
+            if counts != sorted(counts, reverse=True):
+                continue  # one count vector per class: the non-increasing one
             tensor = _pushforward_chi(n, N, counts)
             nb = norm_solver.norm_pisp(tensor, norm_solver.l1(m), opts)
             if best is None or nb.upper > best.upper:

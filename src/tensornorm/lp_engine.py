@@ -71,7 +71,7 @@ class _Tableau:
             self.refactor()
 
 
-def _run_phase(tab: _Tableau, costs, enterable, is_artificial, max_iters, bland_after):
+def _run_phase(tab: _Tableau, costs, is_artificial, max_iters, bland_after):
     """Iterate to optimality of the given cost vector.  Returns (status, iters)."""
     d = len(tab.xb)
     iters = 0
@@ -81,7 +81,7 @@ def _run_phase(tab: _Tableau, costs, enterable, is_artificial, max_iters, bland_
     while iters < max_iters:
         y = tab.binv.T @ costs[tab.basis]
         reduced = costs - y @ tab.A
-        mask = enterable.copy()
+        mask = ~is_artificial
         mask[tab.basis] = False
         for bj in blocked:
             mask[bj] = False
@@ -130,8 +130,7 @@ def _run_phase(tab: _Tableau, costs, enterable, is_artificial, max_iters, bland_
     return "iteration-limit", iters
 
 
-def solve_min_tv(columns, target, tol: float = FEASIBILITY_TOL,
-                 max_iters: int | None = None) -> LPSolution:
+def solve_min_tv(columns, target, max_iters: int | None = None) -> LPSolution:
     """Minimise sum |a_k| subject to sum a_k v_k = target."""
     cols = np.asarray(columns, dtype=float)
     if cols.ndim != 2 or cols.shape[0] == 0:
@@ -151,25 +150,24 @@ def solve_min_tv(columns, target, tol: float = FEASIBILITY_TOL,
     n_real = 2 * n_cols
     is_artificial = np.zeros(A.shape[1], dtype=bool)
     is_artificial[n_real:] = True
-    enterable = ~is_artificial
     if max_iters is None:
         max_iters = max(2000, 40 * (d + n_cols))
     bland_after = 10 * d
 
     tab = _Tableau(A, b)
     c1 = np.concatenate([np.zeros(n_real), np.ones(d)])
-    status, it1 = _run_phase(tab, c1, enterable, is_artificial, max_iters, bland_after)
+    status, it1 = _run_phase(tab, c1, is_artificial, max_iters, bland_after)
     if status != "optimal":
         # artificials are still basic, so no weights reconstruct the target yet
         return LPSolution(np.zeros(n_cols), math.inf, np.zeros(d), status, it1)
     art_level = float(sum(tab.xb[tab.basis >= n_real].tolist()))
-    if art_level > max(tol, tol * float(np.abs(b).max())):
+    if art_level > FEASIBILITY_TOL * max(1.0, float(np.abs(b).max())):
         y = tab.binv.T @ c1[tab.basis]
         farkas = sign * y
         return LPSolution(np.zeros(n_cols), math.inf, farkas, "infeasible", it1)
 
     c2 = np.concatenate([np.ones(n_real), np.zeros(d)])
-    status2, it2 = _run_phase(tab, c2, enterable, is_artificial, max_iters, bland_after)
+    status2, it2 = _run_phase(tab, c2, is_artificial, max_iters, bland_after)
 
     x = np.zeros(A.shape[1])
     x[tab.basis] = tab.xb

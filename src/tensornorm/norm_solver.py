@@ -88,17 +88,20 @@ def _monomials(x, counts) -> np.ndarray:
     return out
 
 
+def _compositions(m: int, total: int) -> np.ndarray:
+    """All m-tuples of non-negative integers summing to total, lexicographic.
+
+    Reversed, the rows are the exponent counts of multi_indices(m, total).
+    """
+    rows = [([], total)]   # (prefix, remainder)
+    for _ in range(m - 1):
+        rows = [(row + [v], rem - v) for row, rem in rows for v in range(rem + 1)]
+    return np.asarray([row + [rem] for row, rem in rows])
+
+
 def _simplex_lattice(m: int, resolution: int) -> np.ndarray:
     """All points of the simplex with coordinates at multiples of 1/resolution."""
-    pts = []
-    def rec(prefix, rem, slots):
-        if slots == 1:
-            pts.append(prefix + [rem])
-            return
-        for v in range(rem + 1):
-            rec(prefix + [v], rem - v, slots - 1)
-    rec([], resolution, m)
-    return np.asarray(pts, dtype=float) / resolution
+    return _compositions(m, resolution) / resolution
 
 
 @lru_cache(maxsize=64)
@@ -181,7 +184,7 @@ class _PowerFamily:
         self.target = None if target is None else np.asarray(target, dtype=float)
         self.symmetrize = symmetrize  # permutation-invariant targets share orbits
         self.indices = multi_indices(m, n)
-        self.counts = np.asarray([np.bincount(idx, minlength=m) for idx in self.indices])
+        self.counts = _compositions(m, n)[::-1]
         if signed:
             self.patterns = [np.asarray((1,) + eps, dtype=float)
                              for eps in product((1, -1), repeat=m - 1)]
@@ -212,11 +215,7 @@ class _PowerFamily:
 
     # -- seeds ----------------------------------------------------------------
     def seeds(self) -> list:
-        base: list[np.ndarray] = []
-        for i in range(self.m):
-            e = np.zeros(self.m)
-            e[i] = 1.0
-            base.append(e)
+        base = list(np.eye(self.m))
         for i, j in combinations(range(self.m), 2):
             e = np.zeros(self.m)
             e[i] = e[j] = 0.5
@@ -242,10 +241,7 @@ class _PowerFamily:
         # an exact power target x^(tensor n) is recovered from its diagonal
         if self.target is None:
             return None
-        diag = np.empty(self.m)
-        for i in range(self.m):
-            pos = self.indices.index((i,) * self.n)
-            diag[i] = self.target[pos]
+        diag = self.target[(self.counts == self.n).argmax(axis=0)]
         if not self.signed and np.any(diag < 0):
             return None
         roots = np.sign(diag) * np.abs(diag) ** (1.0 / self.n)
@@ -440,7 +436,7 @@ def kappa(n: int, opts: SolverOptions | None = None) -> NormBounds:
     return _kappa_cached(n, opts or SolverOptions())
 
 
-def cssp_l1(n: int, grid_size: int = 4096) -> NormBounds:
+def cssp_l1(n: int) -> NormBounds:
     """Bracket for the power-ratio constant sup psi(a, b) / (|a| + |b|)^n.
 
     The lower end is a maximisation of the closed form over the circle grid
@@ -449,8 +445,7 @@ def cssp_l1(n: int, grid_size: int = 4096) -> NormBounds:
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    if grid_size % 2:
-        grid_size += 1  # keep theta = pi/4 on the grid
+    grid_size = 4096  # even, so theta = pi/4 is on the grid
     best = 0.0
     for i in range(grid_size + 1):
         theta = (math.pi / 2) * i / grid_size

@@ -97,14 +97,6 @@ class SymmetricTensor:
         return SymmetricTensor(self.dim, self.order,
                                {i: c * v for i, v in self.entries.items()})
 
-    def add(self, other: "SymmetricTensor") -> "SymmetricTensor":
-        if (self.dim, self.order) != (other.dim, other.order):
-            raise ValueError("shape mismatch")
-        out = dict(self.entries)
-        for i, v in other.entries.items():
-            out[i] = out.get(i, 0) + v
-        return SymmetricTensor(self.dim, self.order, out)
-
     def residual_inf(self, other: "SymmetricTensor") -> float:
         """Max absolute entry difference (sup norm over the full tensor)."""
         if (self.dim, self.order) != (other.dim, other.order):
@@ -206,14 +198,7 @@ def power(x: Sequence, order: int, exact: bool = False) -> SymmetricTensor:
     if order < 1:
         raise ValueError("order must be >= 1")
     vec = _as_vector(x, exact)
-    entries: dict = {}
-    for idx in multi_indices(len(vec), order):
-        v = vec[idx[0]]
-        for i in idx[1:]:
-            v = v * vec[i]
-        if v != 0:
-            entries[idx] = v
-    return SymmetricTensor(len(vec), order, entries)
+    return SignedPowerCombination(len(vec), order, ((1, vec),)).evaluate(exact)
 
 
 def wedge(vectors: Sequence[Sequence], exact: bool = False) -> SymmetricTensor:
@@ -264,19 +249,14 @@ def polarization_expand(vectors: Sequence[Sequence], exact: bool = False) -> Sig
         raise ValueError("all vectors must share the same dimension")
     denom = (2 ** n) * math.factorial(n)
     base = Fraction(1, denom) if exact else 1.0 / denom
-    bucket: dict = {}
+    terms = []
     for eps in product((1, -1), repeat=n):
         sign = 1
         for e in eps:
             sign *= e
         vec = tuple(sum(e * x[c] for e, x in zip(eps, vecs)) for c in range(m))
-        key, flip = _canonical_sign(vec)
-        if key is None:
-            continue
-        w = sign * base * flip ** n
-        bucket[key] = bucket.get(key, _zero(exact)) + w
-    terms = tuple((w, v) for v, w in sorted(bucket.items()) if w != 0)
-    return SignedPowerCombination(m, n, terms)
+        terms.append((sign * base, vec))
+    return SignedPowerCombination(m, n, tuple(terms)).merged()
 
 
 def pos_neg_split(x: Sequence, p: float = 1) -> PosNegSplit:

@@ -146,6 +146,53 @@ class TestEuclid2:
         assert json.loads(capsys.readouterr().out)["csp"] == 3
 
 
+class TestNonFiniteInput:
+    """Non-finite and non-integral input stops at the boundary with exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["psi", "--a", "inf", "--b", "-1", "--n", "2", "--arithmetic", "rational"],
+        ["psi", "--a", "1", "--b", "nan", "--n", "2"],
+        ["decompose", "--a", "nan", "--b", "-1", "--n", "3"],
+        ["decompose", "--a", "1", "--b", "-inf", "--n", "3"],
+        ["euclid2", "--what", "norms", "--a", "nan"],
+        ["euclid2", "--what", "halfcircle", "--matrix", "nan,0,0"],
+        ["euclid2", "--what", "halfcircle", "--matrix", "inf,0,0"],
+        ["euclid2", "--what", "halfcircle", "--matrix", "1,-inf,0"],
+        ["kappa", "--n", "2", "--tol", "nan"],
+        ["kappa", "--n", "2", "--tol", "inf"],
+        ["kappa", "--n", "2", "--tol", "-1"],
+        ["kappa", "--n", "2", "--max-iters", "-5"],
+        ["kappa", "--n", "2", "--max-iters", "1.5"],
+    ], ids=" ".join)
+    def test_rejected_with_exit_2(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("atoms, states", [
+        ([{"idx": [0, 0], "p": float("nan")}, {"idx": [0, 1], "p": 1.0}], None),
+        ([{"idx": [0, 1], "p": float("inf")}], [0, 1]),
+        ([{"idx": [0.9, 1.2], "p": 1.0}], [0, 1]),
+        ([{"idx": [0.9, 1.2], "p": 1.0}], None),
+        ([{"idx": [0, float("nan")], "p": 1.0}], [0, 1]),
+    ])
+    def test_bad_distribution_rejected(self, atoms, states, tmp_path, capsys):
+        payload = {"order": 2, "atoms": atoms}
+        if states is not None:
+            payload["states"] = states
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(payload))   # NaN and Infinity as Python's json writes them
+        assert cli.main(["represent", "--input", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_boundary_values_still_accepted(self, capsys):
+        # a zero tolerance and a zero round cap are valid requests
+        assert cli.main(["kappa", "--n", "2", "--tol", "0"]) == 0
+        assert cli.main(["kappa", "--n", "2", "--max-iters", "0"]) == 3
+        assert cli.main(["psi", "--a", "-0", "--b", "1e308", "--n", "1"]) == 0
+        capsys.readouterr()
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self):
         a = run_cli("kappa", "--n", "3").stdout

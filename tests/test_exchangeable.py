@@ -50,6 +50,23 @@ class TestLoadDistribution:
         with pytest.raises(ValueError):
             load_distribution([((0, 3), 1.0)], states=(0, 1))
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_probability(self, p):
+        with pytest.raises(ValueError, match="probability"):
+            load_distribution([((0, 0), p), ((0, 1), 1.0)], states=(0, 1))
+
+    @pytest.mark.parametrize("states", [(0, 1), None])
+    @pytest.mark.parametrize("idx", [(0.9, 1.2), (0, 1.5), (0, math.nan), (0, math.inf),
+                                     (0, "1")])
+    def test_rejects_non_integral_index(self, idx, states):
+        with pytest.raises(ValueError, match="not an integer"):
+            load_distribution([(idx, 1.0)], states=states)
+
+    def test_integral_floats_are_indices(self):
+        d = load_distribution([((0.0, 1.0), 1.0)], states=(0, 1))
+        assert d.tensor.entries == {(0, 1): 0.5}
+        assert all(type(i) is int for idx in d.tensor.entries for i in idx)
+
     def test_unordered_atoms_are_symmetrised(self):
         d1 = load_distribution([((1, 0), 1.0)])
         d2 = load_distribution([((0, 1), 1.0)])

@@ -4,25 +4,36 @@ The m = 2 root isolation and the simplex pivot were rewritten for speed, and
 the monomial evaluations of ``_PowerFamily`` (columns, the pricing grid, sign
 factors, the polish value and gradient) were folded into one helper, and the
 polish stopped computing a gradient it discards, all without changing a single
-floating-point operation.  The loop versions live
-on here as references, and every comparison is on the bytes of the result,
-so a reordered sum or a lost sign of zero fails.
+floating-point operation.  Later the copies of one computation were folded
+into one home: the composition table (simplex lattice, exponent counts,
+diagonal lookup, extendibility count classes), the signed-term merge
+(polarization expansion, Chebyshev nodes), the power loop and the 2x2 trace
+norm.  The loop versions live on here as references, and every comparison is
+on the bytes of the result (value and type for Fractions), so a reordered sum
+or a lost sign of zero fails.
 """
 
 import math
 import random
+import struct
+from fractions import Fraction
+from itertools import product
 from math import comb
 
 import numpy as np
 import pytest
 
-from tensornorm import lp_engine, norm_solver
-from tensornorm._colgen import SolverOptions
+from tensornorm import exchangeable, lp_engine, norm_solver
+from tensornorm._colgen import NormBounds, SolverOptions
+from tensornorm.chebyshev import ChebDecomposition, optimal_decomposition_m2
+from tensornorm.euclid2 import _matrix_entries, extreme_points, trace_norm_2x2
 from tensornorm.lp_engine import solve_min_tv
-from tensornorm.norm_solver import (_PowerFamily, _poly_coeffs, _roots_unit_interval, kappa,
-                                    l1, norm_pis, norm_pisp)
-from tensornorm.exchangeable import load_distribution
-from tensornorm.tensor_core import SymmetricTensor, multi_indices
+from tensornorm.norm_solver import (_PowerFamily, _compositions, _poly_coeffs,
+                                    _roots_unit_interval, _simplex_lattice, kappa, l1,
+                                    norm_pis, norm_pisp)
+from tensornorm.exchangeable import kappa_nNm_bounds, load_distribution
+from tensornorm.tensor_core import (SignedPowerCombination, SymmetricTensor, _as_vector,
+                                    _canonical_sign, multi_indices, polarization_expand, power)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +190,130 @@ def ref_polish(self, x0, y, sign):
     return x, abs(f)
 
 
+def ref_simplex_lattice(m, resolution):
+    pts = []
+    def rec(prefix, rem, slots):
+        if slots == 1:
+            pts.append(prefix + [rem])
+            return
+        for v in range(rem + 1):
+            rec(prefix + [v], rem - v, slots - 1)
+    rec([], resolution, m)
+    return np.asarray(pts, dtype=float) / resolution
+
+
+def ref_bincount_counts(indices, m):
+    return np.asarray([np.bincount(idx, minlength=m) for idx in indices])
+
+
+def ref_compositions_desc(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in ref_compositions_desc(total - first, parts - 1):
+            if rest and rest[0] > first:
+                continue
+            yield (first,) + rest
+
+
+def ref_diagonal_candidate(self):
+    if self.target is None:
+        return None
+    diag = np.empty(self.m)
+    for i in range(self.m):
+        pos = self.indices.index((i,) * self.n)
+        diag[i] = self.target[pos]
+    if not self.signed and np.any(diag < 0):
+        return None
+    roots = np.sign(diag) * np.abs(diag) ** (1.0 / self.n)
+    if not np.all(np.isfinite(roots)):
+        return None
+    roots = np.round(roots, 12)
+    scale = np.abs(roots).sum()
+    if scale <= 0:
+        return None
+    x = roots / scale
+    if self.signed and x[0] < 0:
+        x = -x
+    return tuple(x)
+
+
+def ref_power(x, order, exact=False):
+    vec = _as_vector(x, exact)
+    entries = {}
+    for idx in multi_indices(len(vec), order):
+        v = vec[idx[0]]
+        for i in idx[1:]:
+            v = v * vec[i]
+        if v != 0:
+            entries[idx] = v
+    return SymmetricTensor(len(vec), order, entries)
+
+
+def ref_polarization_expand(vectors, exact=False):
+    vecs = [_as_vector(v, exact) for v in vectors]
+    n = len(vecs)
+    m = len(vecs[0])
+    denom = (2 ** n) * math.factorial(n)
+    base = Fraction(1, denom) if exact else 1.0 / denom
+    bucket = {}
+    for eps in product((1, -1), repeat=n):
+        sign = 1
+        for e in eps:
+            sign *= e
+        vec = tuple(sum(e * x[c] for e, x in zip(eps, vecs)) for c in range(m))
+        key, flip = _canonical_sign(vec)
+        if key is None:
+            continue
+        w = sign * base * flip ** n
+        bucket[key] = bucket.get(key, Fraction(0) if exact else 0.0) + w
+    terms = tuple((w, v) for v, w in sorted(bucket.items()) if w != 0)
+    return SignedPowerCombination(m, n, terms)
+
+
+def ref_to_combination(dec):
+    bucket = {}
+    for w, node in zip(dec.coefficients, dec.nodes):
+        bucket[node] = bucket.get(node, 0.0) + w
+    terms = tuple((w, v) for v, w in sorted(bucket.items()) if w != 0.0)
+    return SignedPowerCombination(2, dec.n, terms)
+
+
+def ref_trace_norm_2x2(matrix):
+    a, b, c = _matrix_entries(matrix)
+    root = math.hypot(a - c, 2 * b)
+    return abs((a + c + root) / 2) + abs((a + c - root) / 2)
+
+
+def ref_extreme_points_halves(kind, resolution):
+    # the separate pisp and pip loops
+    pts, seen = [], set()
+
+    def push(p):
+        for q in (p, (-p[0], -p[1], -p[2])):
+            key = tuple(round(x, 12) for x in q)
+            if key not in seen:
+                seen.add(key)
+                pts.append(q)
+
+    if kind == "pisp":
+        for j in range(resolution + 1):
+            s = math.pi * j / resolution
+            push((1.0, math.sin(s), math.cos(s)))
+    else:
+        for j in range(resolution + 1):
+            s = math.pi * j / resolution
+            push((1.0, math.sin(s), math.cos(s)))
+            push((abs(math.cos(s)), math.sin(s), math.cos(s)))
+    return pts
+
+
 def with_ref_tables(init):
     """``_PowerFamily.__init__`` followed by the reference counts, signs and grid."""
     def wrapped(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        self.counts = ref_counts(self.indices, self.m)
+        self.counts = ref_bincount_counts(self.indices, self.m)
         self.sign_factors = ref_sign_factors(self.patterns, self.counts)
         if self.m > 2:
             self._grid = ref_grid(self.m)
@@ -195,6 +325,23 @@ def same_bits(a, b) -> bool:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_value(a, b) -> bool:
+    """Floats by their bytes, everything else by type and value, containers elementwise."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(same_value, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_value(a[k], b[k]) for k in a)
+    if isinstance(a, SymmetricTensor):
+        return (a.dim, a.order) == (b.dim, b.order) and same_value(a.entries, b.entries)
+    if isinstance(a, SignedPowerCombination):
+        return (a.dim, a.order) == (b.dim, b.order) and same_value(a.terms, b.terms)
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +482,143 @@ def test_pricing_grid(m, n):
 
 
 # ---------------------------------------------------------------------------
+# one composition table
+
+
+ORDERS = [(m, n) for m in range(1, 6) for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("m, n", ORDERS)
+def test_compositions_are_the_lattice_and_the_counts(m, n):
+    assert _compositions(m, n).dtype == ref_bincount_counts(multi_indices(m, n), m).dtype
+    assert same_bits(_simplex_lattice(m, n), ref_simplex_lattice(m, n))
+    fam = _PowerFamily(m, n, signed=False)
+    counts = ref_bincount_counts(fam.indices, m)
+    assert fam.counts.dtype == counts.dtype and same_bits(fam.counts, counts)
+    assert same_bits(fam.counts, ref_counts(fam.indices, m))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_pricing_lattice(m):
+    grid = ref_grid(m)
+    res = round(1 / grid[grid > 0].min())
+    assert same_bits(grid, ref_simplex_lattice(m, res))
+
+
+def _targets(m, n, seed):
+    """Power targets (positive, signed, with zeros and ties) and plain random ones."""
+    rng = random.Random(seed)
+    vecs = [np.full(m, 1.0 / m), np.eye(m)[-1], -np.eye(m)[0], np.zeros(m)]
+    vecs += [np.asarray([rng.choice((0.0, 0.5, -0.5, rng.uniform(-2, 2))) for _ in range(m)])
+             for _ in range(4)]
+    targets = [np.asarray(power(v, n).vector()) for v in vecs]
+    size = comb(m + n - 1, n)
+    targets += [np.asarray([rng.uniform(-1, 1) for _ in range(size)]) for _ in range(3)]
+    return targets
+
+
+@pytest.mark.parametrize("m, n", ORDERS)
+def test_diagonal_candidate(m, n):
+    for signed in (False, True):
+        for target in _targets(m, n, f"diag:{m}:{n}"):
+            fam = _PowerFamily(m, n, signed=signed, target=target)
+            assert same_value(fam._diagonal_candidate(), ref_diagonal_candidate(fam))
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_extendibility_count_classes(N, monkeypatch):
+    walked = []
+
+    def record(n, N, counts):
+        walked.append(counts)
+        return SymmetricTensor(len(counts), n, {})
+
+    monkeypatch.setattr(exchangeable, "_pushforward_chi", record)
+    monkeypatch.setattr(norm_solver, "norm_pisp",
+                        lambda t, space, opts=None: NormBounds(0.0, 1.0, None, None, 0, True))
+    for m in range(1, min(N, 5) + 1):
+        walked.clear()
+        kappa_nNm_bounds(m, N, m, exact=True)
+        want = [list(c) for c in ref_compositions_desc(N, m)]
+        assert same_value(walked, want)
+
+
+# ---------------------------------------------------------------------------
+# one term merge, one power loop, one 2x2 trace norm
+
+
+def _vectors(m, seed):
+    """Seeded vectors with zero, repeated, cancelling and exactly representable entries."""
+    rng = random.Random(seed)
+    out = [(0.0,) * m, (1.5,) * m, tuple((-1.0) ** c * 0.5 for c in range(m)),
+           tuple(float(c - m // 2) for c in range(m))]
+    for _ in range(4):
+        out.append(tuple(rng.choice((0.0, -0.0, 0.1, -0.1, 1 / 3, 2.0, rng.uniform(-2, 2)))
+                         for _ in range(m)))
+    return out
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("m, n", ORDERS)
+def test_power(m, n, exact):
+    for x in _vectors(m, f"power:{m}:{n}"):
+        assert same_value(power(x, n, exact), ref_power(x, n, exact))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("m", range(1, 5))
+def test_polarization_expand(m, exact):
+    pool = _vectors(m, f"polar:{m}")
+    rng = random.Random(f"polar:{m}:{exact}")
+    cases = [[pool[1], pool[1]], [pool[2], tuple(-v for v in pool[2])], [pool[0], pool[3]]]
+    for n in range(1, 6):
+        cases += [[rng.choice(pool) for _ in range(n)] for _ in range(4)]
+    for vecs in cases:
+        assert same_value(polarization_expand(vecs, exact), ref_polarization_expand(vecs, exact))
+
+
+def _decompositions():
+    rng = random.Random("cheb")
+    out = []
+    for n in range(1, 10):
+        for a, b in [(1.0, -1.0), (-2.0, 2.0), (1.0, 0.0), (0.0, 0.0), (0.5, 0.25),
+                     (1.0, -1e-13), (3.0, -1.0), (-1.0, 3.0)]:
+            out.append(optimal_decomposition_m2(a, b, n))
+        for _ in range(6):
+            out.append(optimal_decomposition_m2(rng.uniform(-2, 2), rng.uniform(-2, 2), n))
+    # repeated nodes whose weights add up, cancel, or are zero to begin with
+    nodes = [(0.5, 0.5), (1.0, 0.0), (0.5, 0.5), (0.0, 1.0), (1.0, 0.0), (0.25, 0.75)]
+    out.append(ChebDecomposition(3, 1.0, -1.0, [1.0, 2.0, -1.0, 0.0, -2.0, 0.1], nodes, 6.1))
+    out.append(ChebDecomposition(2, 1.0, -1.0, [0.1, 0.2, 0.3, -0.0, 0.7, 1e-300],
+                                 nodes, 1.3))
+    return out
+
+
+def test_to_combination():
+    for dec in _decompositions():
+        assert same_value(dec.to_combination(), ref_to_combination(dec))
+
+
+def test_trace_norm_2x2():
+    rng = random.Random("trace")
+    special = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e-300, 1e300, 2.0 ** -1074]
+    matrices = [[[a, b], [b, c]] for a in special[:5] for b in special[:5] for c in special]
+    matrices += [[[a, b], [b, c]] for a, b, c in
+                 ((rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
+                  for _ in range(500))]
+    matrices += [[[1.0, 0.5], [0.5 + 1e-12, -3.0]], [[2.0, 1e-310], [0.0, 2.0]]]
+    for A in matrices:
+        assert same_value(trace_norm_2x2(A), ref_trace_norm_2x2(A))
+
+
+@pytest.mark.parametrize("kind", ["pisp", "pip"])
+def test_extreme_points(kind):
+    for resolution in range(4, 41):
+        assert same_value(extreme_points(kind, resolution),
+                          ref_extreme_points_halves(kind, resolution))
+
+
+# ---------------------------------------------------------------------------
 # master LP
 
 
@@ -403,8 +687,7 @@ def test_bland_phases_match_row_loop(monkeypatch, case):
 
     def run():
         tab = lp_engine._Tableau(A, np.abs(target))
-        phases = [lp_engine._run_phase(tab, costs.astype(float), ~is_artificial,
-                                       is_artificial, 1000, 0)
+        phases = [lp_engine._run_phase(tab, costs.astype(float), is_artificial, 1000, 0)
                   for costs in (is_artificial, ~is_artificial)]
         return phases, tab
 
@@ -450,6 +733,9 @@ def _patched(monkeypatch, fn):
                    counted("tables", with_ref_tables(_PowerFamily.__init__)))
         mp.setattr(_PowerFamily, "column", counted("column", ref_column))
         mp.setattr(_PowerFamily, "_polish", counted("polish", ref_polish))
+        mp.setattr(_PowerFamily, "_diagonal_candidate",
+                   counted("diagonal", ref_diagonal_candidate))
+        mp.setattr(norm_solver, "_lattice_cached", counted("lattice", ref_simplex_lattice))
         old = fn()
     return new, old, calls
 
@@ -471,6 +757,7 @@ def test_norm_pisp_m3_whole_solve(monkeypatch):
     d = load_distribution([(i, v / total) for i, v in zip(idx, w)], states=range(3), order=3)
     new, old, calls = _patched(monkeypatch, lambda: norm_pisp(d.tensor, l1(3)))
     assert new.iterations > 1 and calls["pivot"] and calls["column"] and calls["polish"]
+    assert calls["diagonal"] and calls["lattice"]
     _assert_same_bounds(new, old)
 
 

@@ -124,6 +124,51 @@ class TestPolarization:
         assert comb.evaluate().residual_inf(wedge(vecs)) <= 1e-12
 
 
+class TestMerged:
+    """merged() is the one term merge: polarization_expand and to_combination use it."""
+
+    @pytest.mark.parametrize("order, weight", [(2, 3.0), (3, -1.0), (4, 3.0), (5, -1.0)])
+    def test_opposite_vectors_merge_with_sign_of_order(self, order, weight):
+        comb = SignedPowerCombination(2, order, ((1.0, (1.0, -2.0)), (2.0, (-1.0, 2.0))))
+        merged = comb.merged()
+        assert merged.terms == ((weight, (1.0, -2.0)),)
+        assert merged.evaluate().residual_inf(comb.evaluate()) == 0
+
+    def test_vector_with_leading_zero_keeps_first_nonzero_positive(self):
+        comb = SignedPowerCombination(3, 3, ((1.0, (0.0, -1.0, 2.0)),))
+        assert comb.merged().terms == ((-1.0, (0.0, 1.0, -2.0)),)
+
+    def test_zero_vectors_are_dropped(self):
+        comb = SignedPowerCombination(2, 2, ((5.0, (0.0, 0.0)), (1.0, (1.0, 0.0)),
+                                             (2.0, (-0.0, 0.0))))
+        assert comb.merged().terms == ((1.0, (1.0, 0.0)),)
+
+    def test_cancelling_weights_are_dropped(self):
+        comb = SignedPowerCombination(2, 2, ((0.5, (1.0, 1.0)), (-0.5, (1.0, 1.0)),
+                                             (1.5, (0.0, 1.0)), (-1.5, (0.0, -1.0))))
+        assert comb.merged().terms == ()
+        assert SignedPowerCombination(2, 2, ((0.0, (1.0, 2.0)),)).merged().terms == ()
+
+    def test_fraction_weights_stay_fractions(self):
+        half = Fraction(1, 2)
+        comb = SignedPowerCombination(2, 3, ((half, (Fraction(1), Fraction(-1))),
+                                             (Fraction(1, 3), (Fraction(-1), Fraction(1))),
+                                             (half, (Fraction(0), Fraction(1)))))
+        merged = comb.merged()
+        assert merged.terms == ((half, (Fraction(0), Fraction(1))),
+                                (Fraction(1, 6), (Fraction(1), Fraction(-1))))
+        assert all(type(w) is Fraction for w, _ in merged.terms)
+        assert merged.evaluate(exact=True).entries == comb.evaluate(exact=True).entries
+
+    def test_terms_come_out_sorted(self):
+        vecs = [(0.5, 0.5), (0.0, 1.0), (1.0, 0.0), (0.25, 0.75), (-0.3, -0.7)]
+        comb = SignedPowerCombination(2, 2, tuple((float(k + 1), v) for k, v in enumerate(vecs)))
+        keys = [x for _, x in comb.merged().terms]
+        assert keys == sorted(keys) == [(0.0, 1.0), (0.25, 0.75), (0.3, 0.7), (0.5, 0.5),
+                                        (1.0, 0.0)]
+        assert comb.merged().merged() == comb.merged()
+
+
 class TestPosNegSplit:
     def test_l1_example(self):
         s = pos_neg_split((3.0, -4.0), p=1)
