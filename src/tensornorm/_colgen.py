@@ -18,13 +18,15 @@ pricing violation and the implied bracket gap are both below tolerance
 (``converged`` is True only if that master LP ended optimal), when the
 oracle adds no new column, or after ``max_rounds`` rounds (``converged``
 is then False and the last bracket is returned).  A master LP that stops
-at its iteration limit before it finds a feasible point ends the solve
-with the bracket [0, inf], as an infeasible one does.
+at its iteration limit before it finds a feasible point, or whose basis
+turns singular, ends the solve with the bracket [0, inf], as an
+infeasible one does.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,12 @@ class SolverOptions:
 
     tol: float = 1e-7            # absolute bracket-gap target
     max_rounds: int = 200
+
+    def __post_init__(self):
+        if not 0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be a finite number >= 0, got {self.tol!r}")
+        if not (isinstance(self.max_rounds, numbers.Integral) and self.max_rounds >= 0):
+            raise ValueError(f"max_rounds must be an integer >= 0, got {self.max_rounds!r}")
 
 
 @dataclass
@@ -103,8 +111,8 @@ def run_column_generation(target, family, opts: SolverOptions | None = None) -> 
     while rounds < opts.max_rounds:
         rounds += 1
         sol = lp_engine.solve_min_tv(cols, target)
-        if sol.objective == math.inf and sol.status == "iteration-limit":
-            break  # phase 1 stopped early: the master has no feasible point yet
+        if sol.objective == math.inf and sol.status != "infeasible":
+            break  # phase 1 stopped early or the basis went singular: no feasible point
         # sol.dual is the Farkas certificate when the master is infeasible
         p_star, oracle_max, extras = family.oracle(sol.dual)
         if sol.status == "infeasible":

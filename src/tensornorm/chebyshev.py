@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .tensor_core import SignedPowerCombination
+from .tensor_core import SignedPowerCombination, check_finite
 
 _DEGENERATE_REL = 1e-12
 
@@ -52,6 +52,7 @@ def psi(a, b, n: int):
     """
     if n < 1:
         raise ValueError("order must be >= 1")
+    check_finite(a, b)
     p, q = abs(a), abs(b)
     if (a >= 0 and b >= 0) or (a <= 0 and b <= 0):
         return (p + q) ** n
@@ -68,6 +69,7 @@ def cheb_coefficients(a, b, n: int) -> list[float]:
     """
     if n < 1:
         raise ValueError("order must be >= 1")
+    check_finite(a, b)
     A, B = max(abs(a), abs(b)), min(abs(a), abs(b))
     if A == 0:
         raise ValueError("zero vector has no interpolation weights")
@@ -150,6 +152,7 @@ def optimal_decomposition_m2(a, b, n: int) -> ChebDecomposition:
         raise ValueError("order must be >= 1")
     a = float(a)
     b = float(b)
+    check_finite(a, b)
     p, q = abs(a), abs(b)
     if p == 0.0 and q == 0.0:
         return ChebDecomposition(n, a, b, [], [], 0.0)

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import euclid2, exchangeable, norm_solver
@@ -65,12 +66,20 @@ def _flatten(obj, prefix=""):
         yield prefix[:-1], _dumps(obj)
 
 
+def _is_rows(obj) -> bool:
+    return isinstance(obj, dict) and "rows" in obj and "columns" in obj
+
+
+def _rows(obj, sep: str) -> str:
+    """A rows/columns payload as one header line and one line per row."""
+    lines = [sep.join(obj["columns"])]
+    lines += [sep.join(_dumps(v).strip('"') for v in row) for row in obj["rows"]]
+    return "\n".join(lines) + "\n"
+
+
 def _to_csv(obj) -> str:
-    if isinstance(obj, dict) and "rows" in obj and "columns" in obj:
-        lines = [",".join(obj["columns"])]
-        for row in obj["rows"]:
-            lines.append(",".join(_dumps(v).strip('"') for v in row))
-        return "\n".join(lines) + "\n"
+    if _is_rows(obj):
+        return _rows(obj, ",")
     if isinstance(obj, dict):
         pairs = list(_flatten(obj))
         head = ",".join(k for k, _ in pairs)
@@ -81,11 +90,8 @@ def _to_csv(obj) -> str:
 
 def _to_table(obj, indent: int = 0) -> str:
     pad = "  " * indent
-    if isinstance(obj, dict) and "rows" in obj and "columns" in obj:
-        lines = ["\t".join(obj["columns"])]
-        for row in obj["rows"]:
-            lines.append("\t".join(_dumps(v).strip('"') for v in row))
-        return "\n".join(lines) + "\n"
+    if _is_rows(obj):
+        return _rows(obj, "\t")
     if isinstance(obj, dict):
         out = []
         for k, v in sorted(obj.items()):
@@ -100,76 +106,51 @@ def _to_table(obj, indent: int = 0) -> str:
     return f"{pad}{_dumps(obj).strip(chr(34))}\n"
 
 
-def _emit(obj, fmt: str, out) -> None:
-    if fmt == "json":
-        out.write(_dumps(obj) + "\n")
-    elif fmt == "csv":
-        out.write(_to_csv(obj))
-    else:
-        out.write(_to_table(obj))
+_RENDER = {"json": lambda obj: _dumps(obj) + "\n", "csv": _to_csv, "table": _to_table}
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: args -> (payload, converged)
 
 
 def _options(args) -> SolverOptions:
     return SolverOptions(tol=args.tol, max_rounds=args.max_iters)
 
 
-def _cmd_psi(args, out) -> int:
-    if args.n < 1:
-        raise ValidationError("--n must be >= 1")
+def _cmd_psi(args):
+    a, b = args.a, args.b
     if args.arithmetic == "rational":
-        a = Fraction(str(args.a))
-        b = Fraction(str(args.b))
-        value = psi(a, b, args.n)
-    else:
-        value = psi(args.a, args.b, args.n)
-    _emit(value, args.format, out)
-    return 0
+        a, b = Fraction(str(a)), Fraction(str(b))
+    return psi(a, b, args.n), True
 
 
-def _cmd_decompose(args, out) -> int:
-    if args.n < 1:
-        raise ValidationError("--n must be >= 1")
+def _cmd_decompose(args):
     dec = optimal_decomposition_m2(args.a, args.b, args.n)
-    payload = {
+    return {
         "a": dec.a, "b": dec.b, "n": dec.n,
         "weights": list(dec.coefficients),
         "nodes": [list(nd) for nd in dec.nodes],
         "tv": dec.total_variation,
         "residual": dec.reconstruction_residual(),
-    }
-    _emit(payload, args.format, out)
-    return 0
+    }, True
 
 
-def _cmd_kappa(args, out) -> int:
-    if args.n < 1:
-        raise ValidationError("--n must be >= 1")
+def _cmd_kappa(args):
     nb = norm_solver.kappa(args.n, _options(args))
-    _emit(nb.to_json_dict(), args.format, out)
-    return 0 if nb.converged else 3
+    return nb.to_json_dict(), nb.converged
 
 
-def _cmd_constants(args, out) -> int:
+def _cmd_constants(args):
     if args.space == "l2":
-        payload = euclid2.constants_l2(_options(args))
-        _emit(payload, args.format, out)
-        return 0
-    if args.n < 1:
-        raise ValidationError("--n must be >= 1")
+        return euclid2.constants_l2(_options(args)), True
     pc = norm_solver.polarization_constants(args.n, _options(args))
-    payload = {
+    return {
         "n": pc.n,
         "kappa": pc.kappa.to_json_dict(),
         "cssp": pc.cssp.to_json_dict(),
         "gamma_reference": pc.gamma_reference,
         "classical_cs_lower": pc.classical_cs_lower,
-    }
-    _emit(payload, args.format, out)
-    return 0 if pc.kappa.converged else 3
+    }, pc.kappa.converged
 
 
 def _read_distribution(path: str):
@@ -197,7 +178,7 @@ def _read_distribution(path: str):
         raise ValidationError(str(exc))
 
 
-def _cmd_represent(args, out) -> int:
+def _cmd_represent(args):
     d = _read_distribution(args.input)
     measure = exchangeable.represent(d, method=args.method, opts=_options(args))
     report = exchangeable.verify_representation(d, measure)
@@ -205,39 +186,21 @@ def _cmd_represent(args, out) -> int:
     payload["residual"] = report["residual"]
     payload["weight_sum"] = report["weight_sum"]
     payload["converged"] = measure.converged
-    _emit(payload, args.format, out)
-    return 0 if measure.converged else 3
+    return payload, measure.converged
 
 
-def _cmd_chi(args, out) -> int:
+def _cmd_chi(args):
     try:
         d = exchangeable.chi_nN(args.n, args.N)
     except ValueError as exc:
         raise ValidationError(str(exc))
-    _emit(d.to_json_dict(), args.format, out)
-    return 0
+    return d.to_json_dict(), True
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        try:
-            lo_i, hi_i = int(lo), int(hi)
-        except ValueError:
-            raise ValidationError(f"bad range {text!r}")
-        if hi_i < lo_i:
-            raise ValidationError(f"empty range {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    try:
-        return [int(text)]
-    except ValueError:
-        raise ValidationError(f"bad integer {text!r}")
-
-
-def _cmd_extend_bounds(args, out) -> int:
+def _cmd_extend_bounds(args):
     rows = []
-    all_converged = True
-    for N in _parse_range(args.N):
+    converged = True
+    for N in args.N:
         try:
             if args.m is None:
                 eb = exchangeable.kappa_nN_bounds(args.n, N, exact=args.exact,
@@ -250,45 +213,28 @@ def _cmd_extend_bounds(args, out) -> int:
         row = [eb.n, eb.N, eb.m if eb.m is not None else "", eb.lower, eb.upper]
         if eb.lp_value is not None:
             row.extend([eb.lp_value.lower, eb.lp_value.upper])
-            all_converged = all_converged and eb.lp_value.converged
+            converged = converged and eb.lp_value.converged
         else:
             row.extend(["", ""])
         rows.append(row)
-    payload = {"columns": ["n", "N", "m", "lower", "upper", "exact_lower", "exact_upper"],
-               "rows": rows}
-    _emit(payload, args.format, out)
-    return 0 if all_converged else 3
+    return {"columns": ["n", "N", "m", "lower", "upper", "exact_lower", "exact_upper"],
+            "rows": rows}, converged
 
 
-def _parse_matrix(text: str):
-    try:
-        a, b, c = (float(v) for v in text.split(","))
-    except ValueError:
-        raise ValidationError("--matrix expects 'a00,a01,a11'")
-    if not all(map(math.isfinite, (a, b, c))):
-        raise ValidationError(f"--matrix entries must be finite numbers, got {text!r}")
-    return [[a, b], [b, c]]
-
-
-def _cmd_euclid2(args, out) -> int:
+def _cmd_euclid2(args):
     if args.what == "norms":
         pi_v, pisp_v, pip_v = euclid2.norms_ab(args.a, args.b)
-        _emit({"a": args.a, "b": args.b, "pi": pi_v, "pisp": pisp_v, "pip": pip_v},
-              args.format, out)
-        return 0
+        return {"a": args.a, "b": args.b, "pi": pi_v, "pisp": pisp_v, "pip": pip_v}, True
     if args.what == "points":
         try:
             pts = euclid2.extreme_points(args.kind, args.resolution)
         except ValueError as exc:
             raise ValidationError(str(exc))
-        payload = {"columns": ["u", "v", "w"], "rows": [list(p) for p in pts]}
-        _emit(payload, args.format, out)
-        return 0
+        return {"columns": ["u", "v", "w"], "rows": [list(p) for p in pts]}, True
     if args.matrix is None:
         raise ValidationError("--matrix is required for halfcircle")
-    nb = euclid2.half_circle_lp(_parse_matrix(args.matrix), _options(args))
-    _emit(nb.to_json_dict(), args.format, out)
-    return 0 if nb.converged else 3
+    nb = euclid2.half_circle_lp(args.matrix, _options(args))
+    return nb.to_json_dict(), nb.converged
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +251,34 @@ def _number(kind, minimum=-math.inf):
         return value
     parse.__name__ = kind.__name__  # argparse names the type: "invalid float value"
     return parse
+
+
+def _parse_range(text: str) -> list[int]:
+    """argparse type for --N: a single integer or an inclusive range lo..hi."""
+    if ".." in text:
+        lo, hi = text.split("..", 1)
+        try:
+            lo_i, hi_i = int(lo), int(hi)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad range {text!r}")
+        if hi_i < lo_i:
+            raise argparse.ArgumentTypeError(f"empty range {text!r}")
+        return list(range(lo_i, hi_i + 1))
+    try:
+        return [int(text)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+
+
+def _parse_matrix(text: str):
+    """argparse type for --matrix: 'a00,a01,a11' as a symmetric 2x2 matrix."""
+    try:
+        a, b, c = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expects 'a00,a01,a11'")
+    if not all(map(math.isfinite, (a, b, c))):
+        raise argparse.ArgumentTypeError(f"entries must be finite numbers, got {text!r}")
+    return [[a, b], [b, c]]
 
 
 def _add_output(sub):
@@ -327,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("psi", help="closed-form decomposition cost of (a, b)")
     s.add_argument("--a", type=_number(float), required=True)
     s.add_argument("--b", type=_number(float), required=True)
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_number(int, 1), required=True)
     s.add_argument("--arithmetic", choices=("float", "rational"), default="float")
     _add_output(s)
     s.set_defaults(fn=_cmd_psi)
@@ -335,17 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("decompose", help="optimal two-state node decomposition")
     s.add_argument("--a", type=_number(float), required=True)
     s.add_argument("--b", type=_number(float), required=True)
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_number(int, 1), required=True)
     _add_output(s)
     s.set_defaults(fn=_cmd_decompose)
 
     s = subs.add_parser("kappa", help="bracket for the order-n mixing constant")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_number(int, 1), required=True)
     _add_solver(s)
     s.set_defaults(fn=_cmd_kappa)
 
     s = subs.add_parser("constants", help="polarization constants")
-    s.add_argument("--n", type=int, default=2)
+    s.add_argument("--n", type=_number(int, 1), default=2)
     s.add_argument("--space", choices=("l1", "l2"), default="l1")
     _add_solver(s)
     s.set_defaults(fn=_cmd_constants)
@@ -364,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("extend-bounds", help="extendibility bound table")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--N", type=str, required=True, help="single value or lo..hi")
+    s.add_argument("--N", type=_parse_range, required=True, help="single value or lo..hi")
     s.add_argument("--m", type=int, default=None)
     s.add_argument("--exact", action="store_true")
     _add_solver(s)
@@ -376,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--b", type=_number(float), default=0.0)
     s.add_argument("--kind", choices=("pi", "pisp", "pip"), default="pisp")
     s.add_argument("--resolution", type=int, default=64)
-    s.add_argument("--matrix", type=str, default=None)
+    s.add_argument("--matrix", type=_parse_matrix, default=None)
     _add_solver(s)
     s.set_defaults(fn=_cmd_euclid2)
 
@@ -384,28 +358,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; its payload is the only thing written to the output."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    out = sys.stdout
-    close = False
-    if args.output:
-        try:
-            out = open(args.output, "w", encoding="utf-8")
-            close = True
-        except OSError as exc:
-            print(f"error: cannot open output: {exc}", file=sys.stderr)
-            return 2
     try:
-        return args.fn(args, out)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sink = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: cannot open output: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if close:
-            out.close()
+    with sink as out:
+        try:
+            payload, converged = args.fn(args)
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        out.write(_RENDER[args.format](payload))
+    return 0 if converged else 3
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._colgen import NormBounds, SolverOptions, run_column_generation
-from .tensor_core import SignedPowerCombination
+from .tensor_core import SignedPowerCombination, check_finite
 
 _HALF_PI = math.pi / 2
 
@@ -84,6 +84,7 @@ def trace_norm_bounds(matrix) -> NormBounds:
 
 def norms_ab(a: float, b: float) -> tuple[float, float, float]:
     """Closed norms (plain, positive-power, positive-wedge) of [[a, b], [b, a]]."""
+    check_finite(a, b)
     pi_val = 2 * max(abs(a), abs(b))
     pisp_val = 2 * max(abs(a), abs(a - 2 * b))
     pip_val = 2 * max(abs(a), abs(b), abs(a - b))

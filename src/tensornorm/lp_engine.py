@@ -29,8 +29,8 @@ class LPSolution:
     weights: np.ndarray      # signed weights a_k, length N
     objective: float         # sum |a_k| (math.inf when no feasible point was found)
     dual: np.ndarray         # length-d dual vector / Farkas certificate
-    status: str              # 'optimal' | 'infeasible' | 'iteration-limit'
-    iterations: int = 0
+    status: str              # 'optimal' | 'infeasible' | 'iteration-limit' | 'singular-basis'
+    iterations: int = 0      # simplex iterations (pivots done, for a singular basis)
 
 
 class _Tableau:
@@ -46,13 +46,8 @@ class _Tableau:
         self.pivots = 0
 
     def refactor(self):
-        B = self.A[:, self.basis]
-        try:
-            self.binv = np.linalg.solve(B, np.eye(len(self.basis)))
-        except np.linalg.LinAlgError:
-            # drifted into a numerically singular basis; keep going with the
-            # pseudo-inverse until pivoting replaces the offending column
-            self.binv = np.linalg.pinv(B)
+        """Recompute the basis inverse; raises LinAlgError on a singular basis."""
+        self.binv = np.linalg.solve(self.A[:, self.basis], np.eye(len(self.basis)))
         self.xb = self.binv @ self.b
         self.xb[np.abs(self.xb) < 1e-13] = 0.0
 
@@ -155,8 +150,15 @@ def solve_min_tv(columns, target, max_iters: int | None = None) -> LPSolution:
     bland_after = 10 * d
 
     tab = _Tableau(A, b)
+
+    def run_phase(costs):
+        try:
+            return _run_phase(tab, costs, is_artificial, max_iters, bland_after)
+        except np.linalg.LinAlgError:
+            return "singular-basis", tab.pivots   # the basis inverse cannot be rebuilt
+
     c1 = np.concatenate([np.zeros(n_real), np.ones(d)])
-    status, it1 = _run_phase(tab, c1, is_artificial, max_iters, bland_after)
+    status, it1 = run_phase(c1)
     if status != "optimal":
         # artificials are still basic, so no weights reconstruct the target yet
         return LPSolution(np.zeros(n_cols), math.inf, np.zeros(d), status, it1)
@@ -167,7 +169,9 @@ def solve_min_tv(columns, target, max_iters: int | None = None) -> LPSolution:
         return LPSolution(np.zeros(n_cols), math.inf, farkas, "infeasible", it1)
 
     c2 = np.concatenate([np.ones(n_real), np.zeros(d)])
-    status2, it2 = _run_phase(tab, c2, is_artificial, max_iters, bland_after)
+    status2, it2 = run_phase(c2)
+    if status2 == "singular-basis":
+        return LPSolution(np.zeros(n_cols), math.inf, np.zeros(d), status2, it2)
 
     x = np.zeros(A.shape[1])
     x[tab.basis] = tab.xb

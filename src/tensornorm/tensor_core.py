@@ -48,6 +48,13 @@ def _zero(exact: bool):
     return Fraction(0) if exact else 0.0
 
 
+def check_finite(*values) -> None:
+    """Raise ValueError on a float NaN or infinity; ints and Fractions pass as they are."""
+    for v in values:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"expected finite numbers, got {v!r}")
+
+
 def vector_norm(x: Sequence, p: float = 1):
     """l_p norm; p may be any real >= 1 or math.inf.  Exact for p in {1, inf}."""
     if p == 1:

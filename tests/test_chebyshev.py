@@ -194,6 +194,19 @@ class TestOptimalDecomposition:
         assert dec.total_variation == 0.0 and not dec.coefficients
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (math.inf, -1.0), (1.0, -math.inf)])
+    def test_closed_forms_reject(self, a, b):
+        for fn in (psi, cheb_coefficients, optimal_decomposition_m2):
+            with pytest.raises(ValueError):
+                fn(a, b, 3)
+
+    def test_exact_inputs_pass_unchecked(self):
+        # a huge int or Fraction must not reach math.isfinite, which overflows
+        assert psi(10 ** 400, 1, 1) == 10 ** 400 + 1
+        assert psi(Fraction(3, 2), Fraction(-1, 2), 2) == 7
+
+
 class TestBinaryBounds:
     def test_exact_values(self):
         assert binary_lower_bound(2, 1) == Fraction(6, 2) == 3

@@ -163,6 +163,11 @@ class TestNonFiniteInput:
         ["kappa", "--n", "2", "--tol", "-1"],
         ["kappa", "--n", "2", "--max-iters", "-5"],
         ["kappa", "--n", "2", "--max-iters", "1.5"],
+        ["psi", "--a", "1", "--b", "-1", "--n", "0"],
+        ["decompose", "--a", "1", "--b", "-1", "--n", "0"],
+        ["kappa", "--n", "0"],
+        ["constants", "--n", "0"],
+        ["constants", "--space", "l2", "--n", "0"],
     ], ids=" ".join)
     def test_rejected_with_exit_2(self, argv, capsys):
         assert cli.main(argv) == 2
@@ -191,6 +196,47 @@ class TestNonFiniteInput:
         assert cli.main(["kappa", "--n", "2", "--max-iters", "0"]) == 3
         assert cli.main(["psi", "--a", "-0", "--b", "1e308", "--n", "1"]) == 0
         capsys.readouterr()
+
+
+KAPPA2_TABLE = ('converged: true\ndual:\n  - -1\n  - 6\n  - -1\niterations: 1\nlower: 3\n'
+                'primal:\n  - {"w":-0.5,"x":[0,1]}\n  - {"w":2,"x":[0.5,0.5]}\n'
+                '  - {"w":-0.5,"x":[1,0]}\nupper: 3\n')
+
+
+class TestFormats:
+    """The exact bytes of each output format, for a scalar, a dict and a table."""
+
+    @pytest.mark.parametrize("argv, fmt, want", [
+        (["psi", "--a", "1", "--b", "-1", "--n", "3"], "table", "32\n"),
+        (["psi", "--a", "1", "--b", "-1", "--n", "3"], "csv", "value\n32\n"),
+        (["kappa", "--n", "2"], "table", KAPPA2_TABLE),
+        (["kappa", "--n", "2"], "csv",
+         'converged,dual,iterations,lower,primal,upper\n'
+         'true,[-1;6;-1],1,3,[{"w":-0.5;"x":[0;1]};{"w":2;"x":[0.5;0.5]};'
+         '{"w":-0.5;"x":[1;0]}],3\n'),
+        (["extend-bounds", "--n", "2", "--N", "2..3"], "table",
+         "n\tN\tm\tlower\tupper\texact_lower\texact_upper\n"
+         "2\t2\t\t1.6487212707001282\t3\t\t\n2\t3\t\t1.2840254166877414\t3\t\t\n"),
+        (["extend-bounds", "--n", "2", "--N", "2..3"], "csv",
+         "n,N,m,lower,upper,exact_lower,exact_upper\n"
+         "2,2,,1.6487212707001282,3,,\n2,3,,1.2840254166877414,3,,\n"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_exact_bytes(self, argv, fmt, want, capsys):
+        assert cli.main(argv + ["--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (want, "")
+
+    def test_output_file_table(self, tmp_path, capsys):
+        path = tmp_path / "kappa.txt"
+        assert cli.main(["kappa", "--n", "2", "--format", "table", "--output", str(path)]) == 0
+        assert path.read_text(encoding="utf-8") == KAPPA2_TABLE
+        assert capsys.readouterr().out == ""
+
+    def test_unconverged_payload_still_printed(self, capsys):
+        assert cli.main(["kappa", "--n", "3", "--max-iters", "2"]) == 3
+        out = capsys.readouterr().out
+        assert out.startswith('{"converged":false,') and out.endswith("}\n")
+        assert json.loads(out)["iterations"] == 2
 
 
 class TestDeterminism:

@@ -59,6 +59,11 @@ class TestClosedNorms:
     def test_values(self, a, b, want):
         assert norms_ab(a, b) == pytest.approx(want)
 
+    @pytest.mark.parametrize("a,b", [(math.nan, 1.0), (1.0, -math.inf)])
+    def test_non_finite_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            norms_ab(a, b)
+
     def test_chain_everywhere(self):
         rng = random.Random(8)
         for _ in range(300):

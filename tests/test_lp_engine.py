@@ -4,8 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from tensornorm import lp_engine
 from tensornorm.exchangeable import iid, represent
 from tensornorm.lp_engine import LPSolution, solve_min_tv, verify_solution
+from tensornorm.norm_solver import l1, norm_pisp
+from tensornorm.tensor_core import power
 
 KAPPA2_COLUMNS = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.25, 0.25, 0.25)]
 KAPPA2_TARGET = (0.0, 0.5, 0.0)
@@ -113,6 +116,38 @@ class TestInvariants:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(2.0, abs=1e-9)
         assert verify_solution(cols, (2.0, 2.0, 2.0), sol)["all_ok"]
+
+
+class TestSingularBasis:
+    """A basis whose inverse cannot be rebuilt ends the solve with a status."""
+
+    def test_refactor_raises_on_repeated_column(self):
+        A = np.asarray([[1.0, 2.0, 1.0, 0.0], [3.0, 4.0, 0.0, 1.0]])
+        tab = lp_engine._Tableau(A, np.asarray([1.0, 1.0]))
+        tab.basis = np.asarray([0, 0])
+        with pytest.raises(np.linalg.LinAlgError):
+            tab.refactor()
+
+    @staticmethod
+    def _singular(monkeypatch):
+        def solve(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(lp_engine, "_REFACTOR_EVERY", 1)   # refactor after every pivot
+        monkeypatch.setattr(np.linalg, "solve", solve)
+
+    def test_solve_reports_singular_basis(self, monkeypatch):
+        self._singular(monkeypatch)
+        sol = solve_min_tv(KAPPA2_COLUMNS, KAPPA2_TARGET)
+        assert sol.status == "singular-basis"
+        assert sol.objective == math.inf
+        assert not np.any(sol.weights) and not np.any(sol.dual)
+
+    def test_column_generation_gives_no_bracket(self, monkeypatch):
+        self._singular(monkeypatch)
+        nb = norm_pisp(power((0.3, 0.7), 4), l1(2))
+        assert (nb.lower, nb.upper, nb.primal, nb.dual) == (0.0, math.inf, None, None)
+        assert nb.iterations == 1 and not nb.converged
 
 
 class TestAgainstHighs:

@@ -252,6 +252,20 @@ class TestSolverInvariants:
             assert abs(float(col @ dual)) <= 1.0 + 1e-7
 
 
+class TestSolverOptions:
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": math.nan}, {"tol": math.inf}, {"tol": -1e-9},
+        {"max_rounds": -5}, {"max_rounds": 1.5}, {"max_rounds": math.inf},
+    ], ids=repr)
+    def test_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SolverOptions(**kwargs)
+
+    def test_boundary_values_accepted(self):
+        assert SolverOptions(tol=0, max_rounds=0) == SolverOptions(0.0, 0)
+        assert SolverOptions(max_rounds=np.int64(3)).max_rounds == 3
+
+
 class _SingleSeedFamily(_PowerFamily):
     """Seeds the master with e_1 alone, so its first LPs are infeasible."""
 

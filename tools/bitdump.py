@@ -1,6 +1,7 @@
 """Dump every benchmark pool result of a checkout, bit for bit.
 
     python3 tools/bitdump.py CHECKOUT OUT.json
+    python3 tools/bitdump.py --cli CHECKOUT OUT.json
 
 Imports ``tensornorm`` from ``CHECKOUT/src`` and the inputs and operations
 from ``CHECKOUT/bench/workloads.py``, both unchanged, and runs every pool
@@ -14,6 +15,14 @@ compute the same bits exactly when their dumps are equal byte for byte:
     cmp old.json new.json
 
 One checkout takes about 4.5 minutes on 2 cores.
+
+With ``--cli`` it runs a fixed battery of command lines through
+``tensornorm.cli.main`` instead (every subcommand in every ``--format``,
+rational ``psi``, runs that exit 3, ``--output`` and rejected input).  It
+records each command's exit code and stdout, the file ``--output`` wrote,
+and stderr where the exit code is 0 or 3; the wording of a rejection on
+stderr is not recorded.  It touches nothing but ``cli.main``, so any two
+checkouts compare with one ``cmp``, in a few seconds each.
 """
 
 from __future__ import annotations
@@ -23,8 +32,11 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"   # as the benchmark runs: one BLAS thread
 
+import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
+import importlib  # noqa: E402
 import importlib.util  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -36,11 +48,16 @@ import numpy as np  # noqa: E402
 WORKLOADS = ("two_state", "simplex", "symmetric_cli")
 
 
-def _load_workloads(checkout: Path):
+def _import_tensornorm(checkout: Path):
     sys.path.insert(0, str(checkout / "src"))
     import tensornorm
     if Path(tensornorm.__file__).resolve().parent != (checkout / "src" / "tensornorm").resolve():
         raise SystemExit(f"imported tensornorm from {tensornorm.__file__}, not {checkout}/src")
+    return tensornorm
+
+
+def _load_workloads(checkout: Path):
+    _import_tensornorm(checkout)
     path = checkout / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     module = importlib.util.module_from_spec(spec)
@@ -85,13 +102,92 @@ def dump(checkout: Path) -> dict:
     return out
 
 
+# {dir} is a scratch directory that holds coin.json; {out} is a file in it
+COIN = {"order": 2, "states": [0, 1],
+        "atoms": [{"idx": [0, 0], "p": 0.25}, {"idx": [0, 1], "p": 0.5},
+                  {"idx": [1, 1], "p": 0.25}]}
+FORMATS = ("json", "csv", "table")
+CLI_EACH_FORMAT = [
+    ["psi", "--a", "1", "--b", "-1", "--n", "3"],
+    ["psi", "--a", "2", "--b", "3", "--n", "2"],
+    ["psi", "--a", "1.5", "--b", "-0.5", "--n", "2", "--arithmetic", "rational"],
+    ["psi", "--a", "0.25", "--b", "-0.5", "--n", "1", "--arithmetic", "rational"],
+    ["decompose", "--a", "2", "--b", "-1", "--n", "2"],
+    ["decompose", "--a", "0.7", "--b", "-0.3", "--n", "5"],
+    ["kappa", "--n", "2"],
+    ["kappa", "--n", "3"],
+    ["kappa", "--n", "3", "--max-iters", "2"],                  # exit 3
+    ["constants", "--n", "2"],
+    ["constants", "--n", "3", "--max-iters", "2"],              # exit 3
+    ["constants", "--space", "l2"],
+    ["represent", "--input", "{dir}/coin.json"],
+    ["represent", "--input", "{dir}/coin.json", "--method", "constructive"],
+    ["chi", "--n", "2", "--N", "3"],
+    ["extend-bounds", "--n", "2", "--N", "2..4"],
+    ["extend-bounds", "--n", "2", "--N", "3..4", "--exact", "--max-iters", "1"],  # exit 3
+    ["extend-bounds", "--n", "3", "--m", "2", "--N", "3..4", "--exact"],
+    ["euclid2", "--what", "norms", "--a", "1", "--b", "-1"],
+    ["euclid2", "--what", "points", "--kind", "pip", "--resolution", "8"],
+    ["euclid2", "--what", "halfcircle", "--matrix", "0,1,0"],
+]
+CLI_ONCE = [
+    ["psi", "--a", "2", "--b", "-1", "--n", "2", "--output", "{out}"],
+    ["kappa", "--n", "2", "--format", "table", "--output", "{out}"],
+    ["extend-bounds", "--n", "2", "--N", "2..3", "--format", "csv", "--output", "{out}"],
+    ["kappa", "--n", "4", "--max-iters", "1", "--output", "{out}"],       # exit 3
+    # rejected input: exit 2
+    ["psi", "--a", "1", "--b", "1", "--n", "0"],
+    ["decompose", "--a", "1", "--b", "-1", "--n", "0"],
+    ["kappa", "--n", "0"],
+    ["kappa", "--n", "x"],
+    ["kappa", "--n", "2", "--tol", "nan"],
+    ["kappa", "--n", "2", "--max-iters", "-1"],
+    ["constants", "--n", "0"],
+    ["constants", "--space", "l2", "--n", "0"],
+    ["chi", "--n", "3", "--N", "2"],
+    ["extend-bounds", "--n", "2", "--N", "5..3"],
+    ["extend-bounds", "--n", "2", "--N", "5.."],
+    ["extend-bounds", "--n", "2", "--N", "x"],
+    ["euclid2", "--what", "halfcircle"],
+    ["euclid2", "--what", "halfcircle", "--matrix", "1,2"],
+    ["euclid2", "--what", "halfcircle", "--matrix", "nan,0,0"],
+    ["represent", "--input", "{dir}/missing.json"],
+    ["kappa", "--n", "2", "--output", "{dir}/missing/out.txt"],
+    ["kappa", "--n", "2", "--seed", "1"],
+]
+
+
+def dump_cli(checkout: Path) -> dict:
+    _import_tensornorm(checkout)
+    cli = importlib.import_module("tensornorm.cli")
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "coin.json").write_text(json.dumps(COIN), encoding="utf-8")
+        target = Path(tmp) / "out.txt"
+        each = [argv + ["--format", fmt] for argv in CLI_EACH_FORMAT for fmt in FORMATS]
+        for argv in each + CLI_ONCE:
+            target.unlink(missing_ok=True)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main([a.format(dir=tmp, out=target) for a in argv])
+            record = {"exit": code, "stdout": stdout.getvalue()}
+            if code in (0, 3):
+                record["stderr"] = stderr.getvalue()
+            if target.exists():
+                record["output"] = target.read_text(encoding="utf-8")
+            out[" ".join(argv)] = record
+    return out
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    cli_mode = argv[:1] == ["--cli"]
+    argv = argv[1:] if cli_mode else argv
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
     checkout, target = Path(argv[0]).resolve(), Path(argv[1])
-    result = dump(checkout)
+    result = dump_cli(checkout) if cli_mode else dump(checkout)
     target.write_text(json.dumps(result, sort_keys=True, indent=0) + "\n", encoding="utf-8")
     print(f"{len(result)} entries -> {target}", file=sys.stderr)
     return 0
