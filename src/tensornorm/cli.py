@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -292,10 +293,22 @@ def _add_solver(sub):
     sub.add_argument("--max-iters", type=_number(int, 0), default=200)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads -1e5 and -.5 as numbers, not as options.
+
+    argparse takes only -12 and -1.5 for negative numbers; subparsers
+    inherit this class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="tensornorm",
-                                description="positive symmetric tensor norms, "
-                                            "decompositions and mixing measures")
+    p = _Parser(prog="tensornorm",
+                description="positive symmetric tensor norms, "
+                            "decompositions and mixing measures")
     subs = p.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("psi", help="closed-form decomposition cost of (a, b)")
@@ -373,6 +386,10 @@ def main(argv=None) -> int:
             payload, converged = args.fn(args)
         except ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except OverflowError:
+            # float ** in the closed forms raises where the result exceeds a double
+            print("error: result out of range", file=sys.stderr)
             return 2
         out.write(_RENDER[args.format](payload))
     return 0 if converged else 3

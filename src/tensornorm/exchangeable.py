@@ -14,14 +14,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial
 
 from . import norm_solver
 from ._colgen import PRUNE_TOL, NormBounds, SolverOptions
 from .chebyshev import binary_lower_bound_max, psi_mixed
 from .tensor_core import (SignedPowerCombination, SymmetricTensor, multi_indices,
-                          multiplicity, polarization_expand, power,
-                          vandermonde_decomposition)
+                          multiplicity, power, pushforward)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def _state_index(i) -> int:
 def iid(nu, order: int) -> ExchangeableDistribution:
     """The law of order i.i.d. draws from the probability vector nu."""
     nu = tuple(float(v) for v in nu)
-    if any(v < 0 for v in nu) or abs(sum(nu) - 1.0) > 1e-9:
+    if not all(math.isfinite(v) and v >= 0 for v in nu) or abs(sum(nu) - 1.0) > 1e-9:
         raise ValueError("nu must be a probability vector")
     return ExchangeableDistribution(tuple(range(len(nu))), order, power(nu, order))
 
@@ -152,27 +152,21 @@ def chi_nN(n: int, N: int) -> ExchangeableDistribution:
 
 
 @lru_cache(maxsize=16)
-def _master_decomposition(n: int, opts: SolverOptions) -> tuple:
-    """A decomposition of the symmetrised basis tensor into probability powers.
+def _master_decomposition(n: int) -> SignedPowerCombination:
+    """The symmetrised basis tensor e_1 v ... v e_n as probability powers.
 
-    Prefers the LP primal of ``kappa(n)``, converged or not.  When the LP
-    returned no primal (for example with ``max_rounds=0``) it falls back to
-    the sign expansion pushed through non-negative node combinations, which
-    is exact but costs far more total variation.
+    The polarization identity x_1...x_n = (1/n!) sum_S (-1)^(n-|S|)
+    (sum_{i in S} x_i)^n, with each subset sum written as |S| times the
+    barycentre of S, puts the weight (-1)^(n-k) k^n / n! on the barycentre
+    of every k-subset of the basis.  The 2^n - 1 terms are exact Fractions,
+    with total variation (1/n!) sum_k C(n, k) k^n.
     """
-    nb = norm_solver.kappa(n, opts)
-    # any LP primal is a certified decomposition, converged or not
-    if nb.primal is not None and nb.primal.terms:
-        return nb.primal.terms
-    basis = [tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n)]
     terms = []
-    for a, v in polarization_expand(basis).terms:
-        for lam, wv in vandermonde_decomposition(v, n).terms:
-            s = math.fsum(wv)
-            if s <= 0:
-                continue
-            terms.append((a * lam * s ** n, tuple(c / s for c in wv)))
-    return tuple(terms)
+    for k in range(1, n + 1):
+        weight = Fraction((-1) ** (n - k) * k ** n, factorial(n))
+        for subset in combinations(range(n), k):
+            terms.append((weight, tuple(Fraction(int(i in subset), k) for i in range(n))))
+    return SignedPowerCombination(n, n, tuple(terms))
 
 
 def represent(d: ExchangeableDistribution, method: str = "lp",
@@ -180,9 +174,11 @@ def represent(d: ExchangeableDistribution, method: str = "lp",
     """Represent d as a signed mixture of i.i.d. laws.
 
     method='lp' minimises the total variation by column generation and is
-    optimal up to the certified gap; method='constructive' pushes a fixed
-    decomposition of the symmetrised basis tensor through each atom of d
-    and is guaranteed but generally non-optimal.
+    optimal up to the certified gap.  method='constructive' writes each
+    atom of d, the symmetrised tensor of its word of states, through the
+    polarization identity: the master decomposition of e_1 v ... v e_n is
+    pushed through the map from word positions to states.  It reads no
+    solver options and is generally not optimal.
     """
     m = d.num_states
     if method == "lp":
@@ -192,17 +188,14 @@ def represent(d: ExchangeableDistribution, method: str = "lp",
         measure.converged = nb.converged
         return measure
     if method == "constructive":
-        master = _master_decomposition(d.order, opts or SolverOptions())
+        master = _master_decomposition(d.order)
         atoms = []
         for idx, p in d.tensor.entries.items():
             weight = float(p) * multiplicity(idx)
             if weight == 0.0:
                 continue
-            for a, f in master:
-                nu = [0.0] * m
-                for pos, state in enumerate(idx):
-                    nu[state] += f[pos]
-                atoms.append((weight * a, tuple(nu)))
+            positions = [[int(s == state) for s in idx] for state in range(m)]
+            atoms += [(weight * a, nu) for a, nu in pushforward(positions, master).terms]
         return _merged_measure(atoms)
     raise ValueError(f"unknown method {method!r}")
 
@@ -268,7 +261,7 @@ def kappa_nN_bounds(n: int, N: int, exact: bool = False,
     upper: 1 + [n(n-1) / (2N - n(n-1))] (K + 1) with K the sharpened order-n
     upper bound, capped by K itself (monotone in N); lower:
     exp((n-1) / (2 ceil(N/n))).  exact=True additionally solves the
-    without-replacement law over l1^N (practical for N <= 6).
+    without-replacement law over l1^N.
     """
     if not 1 <= n <= N:
         raise ValueError("need 1 <= n <= N")

@@ -425,8 +425,10 @@ def kappa(n: int, opts: SolverOptions | None = None) -> NormBounds:
     """Bracket for the minimal mixing-measure constant at order n.
 
     Computes the positive symmetric norm of the symmetrised basis tensor
-    e_1 v ... v e_n over l1^n.  Values for n >= 3 are open; only certified
-    brackets are reported.
+    e_1 v ... v e_n over l1^n.  Values for n >= 3 are open.  The upper end
+    is the cost of an explicit decomposition; the lower end is certified
+    only for n <= 2, since for n >= 3 it rests on the grid oracle (see
+    ``_colgen``).
     """
     if n < 1:
         raise ValueError("order must be >= 1")

@@ -198,6 +198,40 @@ class TestNonFiniteInput:
         capsys.readouterr()
 
 
+class TestOutOfRange:
+    """A finite input whose result exceeds a double ends in exit 2, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["psi", "--a", "1e200", "--b", "-1", "--n", "2"],
+        ["psi", "--a", "1e308", "--b", "1", "--n", "2"],
+        ["decompose", "--a", "1e200", "--b", "-1", "--n", "3"],
+    ], ids=" ".join)
+    def test_exit_2(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: result out of range\n")
+
+
+class TestNegativeNumbers:
+    """Negative values in exponent or leading-dot notation are values, not options."""
+
+    def test_exponent_notation(self, capsys):
+        assert cli.main(["psi", "--a", "-1e5", "--b", "1", "--n", "2"]) == 0
+        assert capsys.readouterr().out == "10000600001\n"
+        assert cli.main(["euclid2", "--what", "norms", "--a", "1", "--b", "-1e308"]) == 0
+        assert json.loads(capsys.readouterr().out)["b"] == -1e308
+
+    def test_matrix_needs_no_equals_sign(self, capsys):
+        assert cli.main(["euclid2", "--what", "halfcircle", "--matrix", "-0.5,0.1,0.2"]) == 0
+        spaced = capsys.readouterr().out
+        assert cli.main(["euclid2", "--what", "halfcircle", "--matrix=-0.5,0.1,0.2"]) == 0
+        assert capsys.readouterr().out == spaced
+
+    def test_words_are_still_options(self, capsys):
+        assert cli.main(["psi", "--a", "-x", "--b", "1", "--n", "2"]) == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
 KAPPA2_TABLE = ('converged: true\ndual:\n  - -1\n  - 6\n  - -1\niterations: 1\nlower: 3\n'
                 'primal:\n  - {"w":-0.5,"x":[0,1]}\n  - {"w":2,"x":[0.5,0.5]}\n'
                 '  - {"w":-0.5,"x":[1,0]}\nupper: 3\n')

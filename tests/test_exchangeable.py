@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from tensornorm._colgen import SolverOptions
-from tensornorm.exchangeable import (chi_nN, iid, kappa_bounds, kappa_nN_bounds,
-                                     kappa_nNm_bounds, load_distribution,
+from tensornorm.exchangeable import (_master_decomposition, chi_nN, iid, kappa_bounds,
+                                     kappa_nN_bounds, kappa_nNm_bounds, load_distribution,
                                      mu_binary, partition_log_slack, represent,
                                      uv_bound, verify_representation)
-from tensornorm.tensor_core import multi_indices
+from tensornorm.tensor_core import multi_indices, wedge
 
 FAST = SolverOptions(tol=1e-6, max_rounds=120)
 
@@ -67,6 +67,11 @@ class TestLoadDistribution:
         assert d.tensor.entries == {(0, 1): 0.5}
         assert all(type(i) is int for idx in d.tensor.entries for i in idx)
 
+    @pytest.mark.parametrize("nu", [(math.nan, 1.0), (0.5, math.inf), (-math.inf, 1.0)])
+    def test_iid_rejects_non_finite_entries(self, nu):
+        with pytest.raises(ValueError, match="probability vector"):
+            iid(nu, 3)
+
     def test_unordered_atoms_are_symmetrised(self):
         d1 = load_distribution([((1, 0), 1.0)])
         d2 = load_distribution([((0, 1), 1.0)])
@@ -104,28 +109,41 @@ class TestRepresent:
             m = rng.randint(2, 3)
             n = rng.randint(2, 4)
             d = random_exchangeable(rng, m, n)
-            mes = represent(d, "constructive", FAST)
+            mes = represent(d, "constructive")
             report = verify_representation(d, mes)
             assert report["residual"] <= 1e-8
             assert report["weight_sum"] == pytest.approx(1.0, abs=1e-8)
             assert mes.total_variation <= uv_bound(n) + 1e-6
 
-    def test_constructive_fallback_without_lp_primal(self):
-        # max_rounds=0 leaves kappa without a primal, so the master
-        # decomposition falls back to polarization + Vandermonde nodes
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_constructive_reconstructs_at_every_order(self, m, n):
+        d = random_exchangeable(random.Random(100 * m + n), m, n)
+        mes = represent(d, "constructive")
+        report = verify_representation(d, mes)
+        assert report["residual"] <= 1e-12 * mes.total_variation
+        assert report["weight_sum_dev"] <= 1e-12 * mes.total_variation
+
+    def test_constructive_order_five_binary(self):
+        # the 31 master terms pushed through the word 01111 merge into the
+        # barycentres (1/k, 1 - 1/k), k = 1..5, and the point mass (0, 1)
+        mes = represent(mu_binary(5, 1), "constructive")
+        assert len(mes.atoms) == 6
+        assert mes.total_variation == pytest.approx(75.4, abs=1e-9)
+
+    def test_constructive_reads_no_solver_option(self):
+        # the master is a closed form: no LP, so no setting can change it
         d = mu_binary(3, 1)
         mes = represent(d, "constructive", SolverOptions(max_rounds=0))
-        report = verify_representation(d, mes)
-        assert report["residual"] <= 1e-9
-        assert report["weight_sum"] == pytest.approx(1.0, abs=1e-9)
-        assert mes.total_variation > represent(d, "constructive").total_variation
+        assert mes.atoms == represent(d, "constructive").atoms
+        assert mes.total_variation == pytest.approx(25 / 3, abs=1e-12)
 
     def test_lp_beats_constructive(self):
         rng = random.Random(43)
         for _ in range(5):
             d = random_exchangeable(rng, 2, 3)
             tv_lp = represent(d, "lp", FAST).total_variation
-            tv_con = represent(d, "constructive", FAST).total_variation
+            tv_con = represent(d, "constructive").total_variation
             assert tv_lp <= tv_con + 1e-6
 
     def test_tv_at_least_one(self):
@@ -138,6 +156,23 @@ class TestRepresent:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             represent(iid((1.0,), 2), "magic")
+
+
+class TestMasterDecomposition:
+    """The polarization identity as an exact decomposition of e_1 v ... v e_n."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_cost_is_the_closed_form(self, n):
+        master = _master_decomposition(n)
+        assert len(master.terms) == 2 ** n - 1
+        want = Fraction(sum(math.comb(n, k) * k ** n for k in range(1, n + 1)),
+                        math.factorial(n))
+        assert master.cost() == want
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_evaluates_to_the_symmetrised_basis(self, n):
+        basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        assert _master_decomposition(n).evaluate(exact=True) == wedge(basis, exact=True)
 
 
 class TestVerifyRepresentation:

@@ -18,11 +18,13 @@ One checkout takes about 4.5 minutes on 2 cores.
 
 With ``--cli`` it runs a fixed battery of command lines through
 ``tensornorm.cli.main`` instead (every subcommand in every ``--format``,
-rational ``psi``, runs that exit 3, ``--output`` and rejected input).  It
-records each command's exit code and stdout, the file ``--output`` wrote,
-and stderr where the exit code is 0 or 3; the wording of a rejection on
-stderr is not recorded.  It touches nothing but ``cli.main``, so any two
-checkouts compare with one ``cmp``, in a few seconds each.
+rational ``psi``, runs that exit 3, ``--output``, negative numbers and
+rejected input).  It records each command's exit code and stdout, the file
+``--output`` wrote, and stderr where the exit code is 0 or 3; the wording of
+a rejection on stderr is not recorded.  An uncaught exception is recorded as
+exit 1, the code the process would exit with.  It touches nothing but
+``cli.main``, so any two checkouts compare with one ``cmp``, in a few
+seconds each.
 """
 
 from __future__ import annotations
@@ -102,10 +104,16 @@ def dump(checkout: Path) -> dict:
     return out
 
 
-# {dir} is a scratch directory that holds coin.json; {out} is a file in it
-COIN = {"order": 2, "states": [0, 1],
-        "atoms": [{"idx": [0, 0], "p": 0.25}, {"idx": [0, 1], "p": 0.5},
-                  {"idx": [1, 1], "p": 0.25}]}
+# {dir} is a scratch directory that holds the laws below; {out} is a file in it
+LAWS = {
+    "coin.json": {"order": 2, "states": [0, 1],
+                  "atoms": [{"idx": [0, 0], "p": 0.25}, {"idx": [0, 1], "p": 0.5},
+                            {"idx": [1, 1], "p": 0.25}]},
+    "order5.json": {"order": 5, "states": [0, 1],
+                    "atoms": [{"idx": [0, 1, 1, 1, 1], "p": 0.5},
+                              {"idx": [0, 0, 1, 1, 1], "p": 0.3},
+                              {"idx": [1, 1, 1, 1, 1], "p": 0.2}]},
+}
 FORMATS = ("json", "csv", "table")
 CLI_EACH_FORMAT = [
     ["psi", "--a", "1", "--b", "-1", "--n", "3"],
@@ -122,6 +130,7 @@ CLI_EACH_FORMAT = [
     ["constants", "--space", "l2"],
     ["represent", "--input", "{dir}/coin.json"],
     ["represent", "--input", "{dir}/coin.json", "--method", "constructive"],
+    ["represent", "--input", "{dir}/order5.json", "--method", "constructive"],
     ["chi", "--n", "2", "--N", "3"],
     ["extend-bounds", "--n", "2", "--N", "2..4"],
     ["extend-bounds", "--n", "2", "--N", "3..4", "--exact", "--max-iters", "1"],  # exit 3
@@ -135,6 +144,11 @@ CLI_ONCE = [
     ["kappa", "--n", "2", "--format", "table", "--output", "{out}"],
     ["extend-bounds", "--n", "2", "--N", "2..3", "--format", "csv", "--output", "{out}"],
     ["kappa", "--n", "4", "--max-iters", "1", "--output", "{out}"],       # exit 3
+    # negative numbers in exponent notation are values
+    ["psi", "--a", "-1e5", "--b", "1", "--n", "2"],
+    ["euclid2", "--what", "norms", "--a", "1", "--b", "-1e308"],
+    ["euclid2", "--what", "halfcircle", "--matrix", "-0.5,0.1,0.2"],
+    ["euclid2", "--what", "halfcircle", "--matrix=-0.5,0.1,0.2"],
     # rejected input: exit 2
     ["psi", "--a", "1", "--b", "1", "--n", "0"],
     ["decompose", "--a", "1", "--b", "-1", "--n", "0"],
@@ -154,6 +168,10 @@ CLI_ONCE = [
     ["represent", "--input", "{dir}/missing.json"],
     ["kappa", "--n", "2", "--output", "{dir}/missing/out.txt"],
     ["kappa", "--n", "2", "--seed", "1"],
+    ["psi", "--a", "-x", "--b", "1", "--n", "2"],
+    ["psi", "--a", "1e200", "--b", "-1", "--n", "2"],
+    ["psi", "--a", "1e308", "--b", "1", "--n", "2"],
+    ["decompose", "--a", "1e200", "--b", "-1", "--n", "3"],
 ]
 
 
@@ -162,14 +180,18 @@ def dump_cli(checkout: Path) -> dict:
     cli = importlib.import_module("tensornorm.cli")
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "coin.json").write_text(json.dumps(COIN), encoding="utf-8")
+        for name, law in LAWS.items():
+            (Path(tmp) / name).write_text(json.dumps(law), encoding="utf-8")
         target = Path(tmp) / "out.txt"
         each = [argv + ["--format", fmt] for argv in CLI_EACH_FORMAT for fmt in FORMATS]
         for argv in each + CLI_ONCE:
             target.unlink(missing_ok=True)
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.main([a.format(dir=tmp, out=target) for a in argv])
+                try:
+                    code = cli.main([a.format(dir=tmp, out=target) for a in argv])
+                except Exception:  # a traceback: the process would exit 1
+                    code = 1
             record = {"exit": code, "stdout": stdout.getvalue()}
             if code in (0, 3):
                 record["stderr"] = stderr.getvalue()
