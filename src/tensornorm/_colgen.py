@@ -8,9 +8,11 @@ columns the master LP may combine, plus a pricing oracle that maximises
   lower  -- (target . y) / max(M, 1), where M is the oracle maximum of the
             dual functional; dividing by M makes the functional feasible
             for the continuum problem.  The bound is a certificate only
-            where the oracle is exact: m = 2 and the euclid2 families.  For
-            m >= 3 the oracle is grid + polish, M can fall short of the true
-            maximum, and ``lower`` is an estimate, not a certificate.
+            where the oracle is exact: m = 2, the euclid2 families and the
+            orbit family of permutation-invariant targets for n <= 5.  For
+            m >= 3 (and orbits with n >= 6) the oracle is grid + polish, M
+            can fall short of the true maximum, and ``lower`` is an
+            estimate, not a certificate.
 
 While the master LP is infeasible the oracle prices its Farkas
 certificate until the target enters the span.  Iteration stops once the

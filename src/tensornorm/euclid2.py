@@ -83,11 +83,16 @@ def trace_norm_bounds(matrix) -> NormBounds:
 
 
 def norms_ab(a: float, b: float) -> tuple[float, float, float]:
-    """Closed norms (plain, positive-power, positive-wedge) of [[a, b], [b, a]]."""
+    """Closed norms (plain, positive-power, positive-wedge) of [[a, b], [b, a]].
+
+    Raises OverflowError where a norm exceeds the largest double.
+    """
     check_finite(a, b)
     pi_val = 2 * max(abs(a), abs(b))
     pisp_val = 2 * max(abs(a), abs(a - 2 * b))
     pip_val = 2 * max(abs(a), abs(b), abs(a - b))
+    if not math.isfinite(pisp_val + pip_val):   # pi_val <= pip_val
+        raise OverflowError("norm exceeds the largest double")
     return pi_val, pisp_val, pip_val
 
 

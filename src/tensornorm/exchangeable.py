@@ -201,11 +201,14 @@ def represent(d: ExchangeableDistribution, method: str = "lp",
 
 
 def _merged_measure(atoms) -> SignedMixingMeasure:
-    bucket: dict = {}
+    """Merge atoms that agree to 12 decimals; each bucket keeps its first atom as given."""
+    bucket: dict = {}   # rounded atom -> [first atom, summed weight]
     for w, nu in atoms:
         key = tuple(round(float(v), 12) for v in nu)
-        bucket[key] = bucket.get(key, 0.0) + float(w)
-    merged = [(w, nu) for nu, w in sorted(bucket.items()) if abs(w) > PRUNE_TOL]
+        if key not in bucket:
+            bucket[key] = [tuple(float(v) for v in nu), 0.0]
+        bucket[key][1] += float(w)
+    merged = [(w, nu) for _, (nu, w) in sorted(bucket.items()) if abs(w) > PRUNE_TOL]
     tv = math.fsum(abs(w) for w, _ in merged)
     return SignedMixingMeasure(merged, tv)
 
@@ -261,7 +264,8 @@ def kappa_nN_bounds(n: int, N: int, exact: bool = False,
     upper: 1 + [n(n-1) / (2N - n(n-1))] (K + 1) with K the sharpened order-n
     upper bound, capped by K itself (monotone in N); lower:
     exp((n-1) / (2 ceil(N/n))).  exact=True additionally solves the
-    without-replacement law over l1^N.
+    without-replacement law over l1^N with ``norm_pisp_invariant``, one row
+    per partition of n with at most N parts; its pricing is exact for n <= 5.
     """
     if not 1 <= n <= N:
         raise ValueError("need 1 <= n <= N")
@@ -274,8 +278,7 @@ def kappa_nN_bounds(n: int, N: int, exact: bool = False,
     lower = math.exp((n - 1) / (2 * math.ceil(N / n)))
     lp_value = None
     if exact:
-        d = chi_nN(n, N)
-        lp_value = norm_solver.norm_pisp(d.tensor, norm_solver.l1(N), opts)
+        lp_value = norm_solver.norm_pisp_invariant(chi_nN(n, N).tensor, opts)
     return ExtendibilityBounds(n, N, None, lower, upper, lp_value)
 
 

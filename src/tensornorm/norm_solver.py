@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, product
 from math import comb
 
 import numpy as np
@@ -176,13 +176,11 @@ def _max_abs_poly01(coef: np.ndarray) -> tuple[float, float]:
 class _PowerFamily:
     """Generators x^(tensor n) with x on the l1 unit sphere (or its positive part)."""
 
-    def __init__(self, m: int, n: int, signed: bool, target=None,
-                 symmetrize: bool = False):
+    def __init__(self, m: int, n: int, signed: bool, target=None):
         self.m = m
         self.n = n
         self.signed = signed
         self.target = None if target is None else np.asarray(target, dtype=float)
-        self.symmetrize = symmetrize  # permutation-invariant targets share orbits
         self.indices = multi_indices(m, n)
         self.counts = _compositions(m, n)[::-1]
         if signed:
@@ -272,10 +270,7 @@ class _PowerFamily:
             if v > best_v:
                 best_v = v
                 best_x = tuple(pat * x)
-        extras = extras[:4]
-        if self.symmetrize and best_x is not None:
-            extras.extend(set(permutations(best_x)))
-        return best_x, best_v, extras
+        return best_x, best_v, extras[:4]
 
     def _oracle_grid(self, y):
         if self._grid is None:
@@ -345,6 +340,161 @@ class _PowerFamily:
         return x, abs(f)
 
 
+def _block_table(parts: list, blocks: tuple, counts: np.ndarray) -> np.ndarray:
+    """A[l, c]: coefficient of prod_i v_i^counts[c, i] in the monomial symmetric
+    function m_{parts[l]}(x), for x with blocks[i] coordinates equal to v_i.
+
+    A count vector of type lambda restricts to a count vector on each block,
+    so the parts of lambda split into one sub-multiset mu_i per block; block i
+    then holds k!/((k - len(mu_i))! prod mult(mu_i)!) count vectors of type mu_i.
+    """
+    col = {tuple(c): j for j, c in enumerate(counts.tolist())}
+    table = np.zeros((len(parts), len(counts)))
+    for row, lam in enumerate(parts):
+        values = sorted(set(lam))
+        # split[j][i]: parts of size values[j] placed on block i
+        for split in product(*(_compositions(len(blocks), lam.count(v)).tolist()
+                               for v in values)):
+            weight = 1
+            for i, k in enumerate(blocks):
+                used = [s[i] for s in split]
+                weight *= math.perm(k, sum(used))
+                for a in used:
+                    weight //= math.factorial(a)
+            if weight:
+                c = tuple(sum(v * s[i] for v, s in zip(values, split))
+                          for i in range(len(blocks)))
+                table[row, col[c]] += weight
+    return table
+
+
+class _OrbitPowerFamily:
+    """Orbit sums of x^(tensor n), x on the positive part of the l1^N sphere.
+
+    For a target invariant under every permutation of the N coordinates the
+    master LP needs one row per partition lambda of n: row lambda of a column
+    is the average of x^alpha over the multi-indices alpha of type lambda.
+    Averaging a decomposition over the group keeps the target and does not
+    raise the total variation, so the value is that of the full LP.  A
+    parameter is an orbit's non-increasing representative; its column comes
+    from its distinct values and their multiplicities.
+
+    The dual functional is then a symmetric polynomial of degree n.  By the
+    half-degree principle (Timofte 2003, Riener 2012) its extremes on the
+    simplex lie at points with at most max(n // 2, 1) distinct non-zero
+    coordinates, so pricing walks the block patterns k_1 <= ... <= k_r, with
+    k_i coordinates at u_i / k_i and u on the r-simplex: r = 1 is a finite
+    set of barycentres, and r >= 2 is the plain positive power oracle over
+    l1^r on the pattern's coefficients (exact for r = 2, grid + polish for
+    r >= 3).
+    """
+
+    def __init__(self, dim: int, n: int):
+        self.dim = dim
+        self.n = n
+        # partitions of n into at most dim parts: the non-increasing compositions
+        self.parts = [tuple(k for k in row if k)
+                      for row in _compositions(min(n, dim), n)[::-1].tolist()
+                      if row == sorted(row, reverse=True)]
+        # m_lambda at the all-ones point counts the multi-indices of type lambda
+        self.sizes = _block_table(self.parts, (dim,), np.asarray([[n]]))[:, 0]
+        self._tables: dict = {}   # blocks -> (column table over the parts, exponent counts)
+        # barycentres of k coordinates, k = 1..dim, as columns over the parts
+        self.barycentres = [tuple([1.0 / k] * k + [0.0] * (dim - k)) for k in range(1, dim + 1)]
+        self._bary_cols = np.asarray([self.column(x) for x in self.barycentres])
+        # pricing: per r >= 2 one l1^r oracle, per pattern the map from y to its
+        # coefficients in u, where block i holds u_i / k_i
+        self._pricing = []
+        for r in range(2, min(max(n // 2, 1), dim) + 1):
+            inner = _PowerFamily(r, n, signed=False)
+            for blocks in _block_patterns(r, dim):
+                table, counts = self._table(blocks)
+                scale = np.prod(np.asarray(blocks, dtype=float) ** -counts, axis=1)
+                self._pricing.append((blocks, inner, table * scale))
+
+    def reduce(self, t: SymmetricTensor) -> np.ndarray:
+        """The target's row for each partition: its value at one multi-index of that type."""
+        return np.asarray([float(t.value(sum(((i,) * p for i, p in enumerate(lam)), ())))
+                           for lam in self.parts])
+
+    def expand_dual(self, y) -> list[float]:
+        """The full dual y_alpha = y_lambda(alpha) / #{alpha of type lambda}."""
+        row = {lam: float(v / s) for lam, v, s in zip(self.parts, y, self.sizes)}
+        return [row[tuple(sorted((len(list(run)) for _, run in groupby(idx)), reverse=True))]
+                for idx in multi_indices(self.dim, self.n)]
+
+    # -- column interface ---------------------------------------------------
+    def key(self, x) -> tuple:
+        return tuple(round(float(v), 12) for v in x)
+
+    def _table(self, blocks: tuple):
+        """(T, counts): the column of a point with blocks[i] coordinates at v_i is
+        T @ prod_i v_i^counts[:, i]; counts are those of _PowerFamily(len(blocks), n)."""
+        if blocks not in self._tables:
+            counts = _compositions(len(blocks), self.n)[::-1]
+            table = _block_table(self.parts, blocks, counts) / self.sizes[:, None]
+            self._tables[blocks] = table, counts
+        return self._tables[blocks]
+
+    def column(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        values, blocks = np.unique(x[x > 0], return_counts=True)
+        table, counts = self._table(tuple(blocks.tolist()))
+        return table @ _monomials(values, counts)
+
+    def primal(self, params, weights, prune):
+        terms = []
+        for x, w in zip(params, weights):
+            if abs(w) > prune:
+                orbit = _arrangements(x)
+                terms.extend((float(w) / len(orbit), p) for p in orbit)
+        terms.sort(key=lambda t: t[1])
+        return SignedPowerCombination(self.dim, self.n, tuple(terms)), None
+
+    def seeds(self) -> list:
+        return list(self.barycentres)
+
+    # -- pricing --------------------------------------------------------------
+    def oracle(self, y) -> tuple[tuple, float, list]:
+        y = np.asarray(y, dtype=float)
+        vals = np.abs(self._bary_cols @ y)
+        found = [(float(v), x) for v, x in zip(vals, self.barycentres)]
+        for blocks, inner, lift in self._pricing:
+            u, v, _ = inner.oracle(y @ lift)
+            point = [float(ui) / k for ui, k in zip(u, blocks) for _ in range(k)]
+            point += [0.0] * (self.dim - len(point))
+            found.append((v, tuple(sorted(point, reverse=True))))
+        found.sort(key=lambda f: -f[0])
+        best_v, best_x = found[0]
+        extras = [x for v, x in found[1:5] if v > 1.0 + PRICING_TOL]
+        return best_x, best_v, extras
+
+
+def _block_patterns(r: int, dim: int) -> list[tuple[int, ...]]:
+    """Non-decreasing r-tuples of positive integers with sum at most dim."""
+    out = [()]
+    for _ in range(r):
+        out = [p + (k,) for p in out for k in range(p[-1] if p else 1, dim + 1)]
+    return [p for p in out if sum(p) <= dim]
+
+
+def _arrangements(x: tuple) -> list[tuple]:
+    """The distinct permutations of x: positions for each value in turn, the smallest last."""
+    values = sorted(set(x), reverse=True)
+    out = [((None,) * len(x), tuple(range(len(x))))]   # (partial arrangement, free positions)
+    for v in values[:-1]:
+        nxt = []
+        for slots, free in out:
+            for chosen in combinations(free, x.count(v)):
+                s = list(slots)
+                for pos in chosen:
+                    s[pos] = v
+                nxt.append((tuple(s), tuple(p for p in free if p not in chosen)))
+        out = nxt
+    last = values[-1]
+    return [tuple(last if s is None else s for s in slots) for slots, _ in out]
+
+
 # ---------------------------------------------------------------------------
 # norm operations
 
@@ -396,6 +546,24 @@ def norm_pis(t: SymmetricTensor, space: SpaceDescriptor,
     return run_column_generation(t.vector(), fam, opts)
 
 
+def norm_pisp_invariant(t: SymmetricTensor, opts: SolverOptions | None = None) -> NormBounds:
+    """norm_pisp over l1^m for a target invariant under every permutation of the coordinates.
+
+    Runs the master LP on orbit sums, one row per partition of the order,
+    and prices by the half-degree principle (see ``_OrbitPowerFamily``).  The
+    target is read at one multi-index of each type, so it must be invariant.
+    The result has the shape of ``norm_pisp``'s: the primal lists every
+    distinct permutation of each orbit point with its share of the weight,
+    and the dual spreads each row's value evenly over the multi-indices of
+    its type.  Pricing is exact up to order 5 and grid + polish from order 6.
+    """
+    fam = _OrbitPowerFamily(t.dim, t.order)
+    nb = run_column_generation(fam.reduce(t), fam, opts)
+    if nb.dual is not None:
+        nb.dual = fam.expand_dual(nb.dual)
+    return nb
+
+
 def norm_pip(t: SymmetricTensor, space: SpaceDescriptor,
              opts: SolverOptions | None = None) -> NormBounds:
     """Positive projective norm: equals norm_pi on l1^m; wedge generation on l2^2."""
@@ -408,9 +576,7 @@ def norm_pip(t: SymmetricTensor, space: SpaceDescriptor,
 @lru_cache(maxsize=32)
 def _kappa_cached(n: int, opts: SolverOptions) -> NormBounds:
     basis = [tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n)]
-    target = wedge(basis)
-    fam = _PowerFamily(n, n, signed=False, target=target.vector(), symmetrize=True)
-    nb = run_column_generation(target.vector(), fam, opts)
+    nb = norm_pisp_invariant(wedge(basis), opts)
     if nb.converged:
         from .exchangeable import uv_bound
         cs_lower = n ** n / math.factorial(n)
@@ -425,10 +591,12 @@ def kappa(n: int, opts: SolverOptions | None = None) -> NormBounds:
     """Bracket for the minimal mixing-measure constant at order n.
 
     Computes the positive symmetric norm of the symmetrised basis tensor
-    e_1 v ... v e_n over l1^n.  Values for n >= 3 are open.  The upper end
-    is the cost of an explicit decomposition; the lower end is certified
-    only for n <= 2, since for n >= 3 it rests on the grid oracle (see
-    ``_colgen``).
+    e_1 v ... v e_n over l1^n with ``norm_pisp_invariant``, whose master
+    has one row per partition of n (3, 5 and 7 rows for n = 3, 4, 5).  For
+    n <= 5 pricing is exact (barycentres and the m = 2 root isolation), and
+    the bracket closes on the polarization cost (1/n!) sum_k C(n, k) k^n:
+    9, 85/3 and 275/3 for n = 3, 4, 5.  From n = 6 pricing is grid + polish
+    and the lower end an estimate (see ``_colgen``).
     """
     if n < 1:
         raise ValueError("order must be >= 1")

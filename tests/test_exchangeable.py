@@ -131,6 +131,14 @@ class TestRepresent:
         assert len(mes.atoms) == 6
         assert mes.total_variation == pytest.approx(75.4, abs=1e-9)
 
+    def test_constructive_atoms_are_not_rounded(self):
+        # merging buckets atoms by 12 decimals but keeps each bucket's own atom
+        mes = represent(mu_binary(3, 1), "constructive")
+        assert [nu for _, nu in mes.atoms] == [(0.0, 1.0), (1 / 3, 2 / 3), (0.5, 0.5),
+                                               (1.0, 0.0)]
+        # only the merged weights' rounding is left (5.6e-17 at (1, 1, 1))
+        assert verify_representation(mu_binary(3, 1), mes)["residual"] <= 1e-16
+
     def test_constructive_reads_no_solver_option(self):
         # the master is a closed form: no LP, so no setting can change it
         d = mu_binary(3, 1)
@@ -276,6 +284,20 @@ class TestExtendibilityBounds:
             assert b <= a + 1e-6
         for a, b in zip(lowers, lowers[1:]):
             assert b <= a + 1e-6
+
+    @pytest.mark.parametrize("N", range(4, 9))
+    def test_exact_order_four_is_finite(self, N):
+        eb = kappa_nN_bounds(4, N, exact=True)
+        nb = eb.lp_value
+        assert nb.converged and math.isfinite(nb.upper)
+        assert 1.0 <= nb.lower <= nb.upper <= nb.lower * (1 + 1e-9)
+        assert nb.upper <= uv_bound(4) + 1e-9
+
+    def test_exact_values_on_record(self):
+        # chi_2,N for N = 2..5 and chi_4,5 = 59/4
+        for N, value in [(2, 3.0), (3, 2.0), (4, 5 / 3), (5, 1.5)]:
+            assert kappa_nN_bounds(2, N, exact=True).lp_value.contains(value, 1e-9)
+        assert kappa_nN_bounds(4, 5, exact=True).lp_value.contains(14.75, 1e-9)
 
     def test_m_variant_formulas(self):
         eb = kappa_nNm_bounds(2, 4, 2)

@@ -29,7 +29,7 @@ from tensornorm.chebyshev import ChebDecomposition, optimal_decomposition_m2
 from tensornorm.euclid2 import _matrix_entries, extreme_points, trace_norm_2x2
 from tensornorm.lp_engine import solve_min_tv
 from tensornorm.norm_solver import (_PowerFamily, _compositions, _poly_coeffs,
-                                    _roots_unit_interval, _simplex_lattice, kappa, l1,
+                                    _roots_unit_interval, _simplex_lattice, l1,
                                     norm_pis, norm_pisp)
 from tensornorm.exchangeable import kappa_nNm_bounds, load_distribution
 from tensornorm.tensor_core import (SignedPowerCombination, SymmetricTensor, _as_vector,
@@ -780,14 +780,3 @@ def test_norm_pisp_m4_whole_solve(monkeypatch):
     assert new.iterations == 10 and calls["tables"] and calls["polish"]
     _assert_same_bounds(new, old)
 
-
-def test_kappa3_whole_solve(monkeypatch):
-    # kappa prices with symmetrize=True and caches its result
-    def solve():
-        norm_solver._kappa_cached.cache_clear()
-        return kappa(3)
-
-    new, old, calls = _patched(monkeypatch, solve)
-    norm_solver._kappa_cached.cache_clear()
-    assert new.iterations > 1 and calls["tables"] and calls["polish"]
-    _assert_same_bounds(new, old)

@@ -7,11 +7,12 @@ import pytest
 
 from tensornorm import lp_engine
 from tensornorm._colgen import SolverOptions, run_column_generation
-from tensornorm.norm_solver import (SpaceDescriptor, _PowerFamily, _simplex_lattice,
-                                    cssp_l1, kappa, l1, l2dim2, norm_pi, norm_pip,
-                                    norm_pis, norm_pisp, polarization_constants)
+from tensornorm.norm_solver import (SpaceDescriptor, _OrbitPowerFamily, _PowerFamily,
+                                    _monomials, _simplex_lattice, cssp_l1, kappa, l1, l2dim2,
+                                    norm_pi, norm_pip, norm_pis, norm_pisp,
+                                    norm_pisp_invariant, polarization_constants)
 from tensornorm.chebyshev import psi
-from tensornorm.exchangeable import load_distribution, mu_binary, uv_bound
+from tensornorm.exchangeable import chi_nN, load_distribution, mu_binary, uv_bound
 from tensornorm.tensor_core import (SymmetricTensor, multi_indices, power,
                                     tensor_pushforward, wedge)
 
@@ -337,3 +338,89 @@ class TestUncertifiedLowerEnd:
         for c in range(3):
             cols *= lattice[:, [c]] ** counts[:, c]
         assert np.abs(cols @ np.asarray(nb.dual)).max() <= 1.0 + 1e-7
+
+
+def _polarization_cost(n):
+    return math.fsum(math.comb(n, k) * k ** n for k in range(n + 1)) / math.factorial(n)
+
+
+def _wedge_basis(n):
+    return wedge([tuple(float(j == i) for j in range(n)) for i in range(n)])
+
+
+class TestOrbitFamily:
+    """The orbit-reduced master: one row per partition, half-degree pricing."""
+
+    def test_rows_are_partitions(self):
+        assert [len(_OrbitPowerFamily(n, n).parts) for n in (3, 4, 5)] == [3, 5, 7]
+        assert _OrbitPowerFamily(5, 2).parts == [(2,), (1, 1)]
+        assert _OrbitPowerFamily(2, 4).parts == [(4,), (3, 1), (2, 2)]
+
+    @pytest.mark.parametrize("dim,n", [(3, 3), (4, 4), (5, 5), (6, 3), (7, 4)])
+    def test_column_is_the_type_average(self, dim, n):
+        fam = _OrbitPowerFamily(dim, n)
+        idx = multi_indices(dim, n)
+        counts = np.asarray([[i.count(c) for c in range(dim)] for i in idx])
+        types = [tuple(sorted((k for k in row if k), reverse=True)) for row in counts.tolist()]
+        rng = random.Random(f"orbit-column:{dim}:{n}")
+        for blocks in [(1,), (dim,), (1, 2), (2, dim - 2)]:
+            vals = [rng.random() for _ in blocks]
+            x = [v for v, k in zip(vals, blocks) for _ in range(k)]
+            x = np.asarray(x + [0.0] * (dim - len(x)))
+            x /= x.sum()
+            full = _monomials(x, counts)
+            want = [full[[t == lam for t in types]].mean() for lam in fam.parts]
+            assert fam.column(tuple(sorted(x, reverse=True))) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_kappa_closes_on_the_polarization_cost(self, n):
+        nb = kappa(n)
+        assert nb.converged
+        assert nb.lower == pytest.approx(_polarization_cost(n), rel=1e-9)
+        assert nb.upper == pytest.approx(_polarization_cost(n), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_expanded_primal_reconstructs_the_wedge(self, n):
+        nb = kappa(n)
+        tv = math.fsum(abs(w) for w, _ in nb.primal.terms)
+        assert tv == pytest.approx(nb.upper, rel=1e-12)
+        residual = nb.primal.evaluate().residual_inf(_wedge_basis(n))
+        assert residual <= 1e-12 * tv
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_expanded_dual_is_feasible(self, n):
+        # grid + polish over the whole simplex: the pricing lattice and beyond
+        nb = kappa(n)
+        assert len(nb.dual) == len(multi_indices(n, n))
+        _, peak, _ = _PowerFamily(n, n, signed=False).oracle(nb.dual)
+        assert peak <= 1.0 + 1e-9
+        lower = float(np.asarray(_wedge_basis(n).vector()) @ np.asarray(nb.dual))
+        assert lower == pytest.approx(nb.lower, rel=1e-12)
+
+    def test_three_block_pricing_from_order_six(self):
+        # n = 6 prices three-block patterns by grid + polish; two rounds keep
+        # the polarization decomposition as the upper end
+        nb = norm_pisp_invariant(_wedge_basis(6), SolverOptions(max_rounds=2))
+        assert nb.iterations == 2 and not nb.converged
+        assert nb.upper == pytest.approx(_polarization_cost(6), rel=1e-12)
+        assert 0.0 < nb.lower <= nb.upper
+        tv = math.fsum(abs(w) for w, _ in nb.primal.terms)
+        assert nb.primal.evaluate().residual_inf(_wedge_basis(6)) <= 1e-12 * tv
+
+    @pytest.mark.parametrize("n,N", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4)])
+    def test_overlaps_the_plain_solve(self, n, N):
+        t = chi_nN(n, N).tensor
+        orbit, plain = norm_pisp_invariant(t), norm_pisp(t, l1(N))
+        widen = 1e-7 * max(1.0, orbit.upper)
+        assert orbit.lower <= plain.upper + widen and plain.lower <= orbit.upper + widen
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_half_degree_maximum_matches_the_simplex(self, n):
+        fam = _OrbitPowerFamily(n, n)
+        full = _PowerFamily(n, n, signed=False)
+        rng = random.Random(f"half-degree:{n}")
+        for _ in range(20):
+            y = [rng.uniform(-1, 1) for _ in fam.parts]
+            _, half, _ = fam.oracle(y)
+            _, whole, _ = full.oracle(fam.expand_dual(y))
+            assert half >= whole - 1e-12

@@ -18,13 +18,14 @@ One checkout takes about 4.5 minutes on 2 cores.
 
 With ``--cli`` it runs a fixed battery of command lines through
 ``tensornorm.cli.main`` instead (every subcommand in every ``--format``,
-rational ``psi``, runs that exit 3, ``--output``, negative numbers and
-rejected input).  It records each command's exit code and stdout, the file
+rational ``psi``, runs that exit 3, ``--output``, negative numbers,
+permutation-invariant solves off the benchmark pools and rejected input).  It records each command's exit code and stdout, the file
 ``--output`` wrote, and stderr where the exit code is 0 or 3; the wording of
 a rejection on stderr is not recorded.  An uncaught exception is recorded as
 exit 1, the code the process would exit with.  It touches nothing but
 ``cli.main``, so any two checkouts compare with one ``cmp``, in a few
-seconds each.
+seconds each (checkouts that solve the permutation-invariant commands over
+the full l1^N master, without orbit reduction, take far longer).
 """
 
 from __future__ import annotations
@@ -124,16 +125,19 @@ CLI_EACH_FORMAT = [
     ["decompose", "--a", "0.7", "--b", "-0.3", "--n", "5"],
     ["kappa", "--n", "2"],
     ["kappa", "--n", "3"],
-    ["kappa", "--n", "3", "--max-iters", "2"],                  # exit 3
+    ["kappa", "--n", "3", "--max-iters", "2"],
+    ["kappa", "--n", "5", "--max-iters", "2"],                  # exit 3
     ["constants", "--n", "2"],
-    ["constants", "--n", "3", "--max-iters", "2"],              # exit 3
+    ["constants", "--n", "3", "--max-iters", "2"],
+    ["constants", "--n", "5", "--max-iters", "2"],              # exit 3
     ["constants", "--space", "l2"],
     ["represent", "--input", "{dir}/coin.json"],
     ["represent", "--input", "{dir}/coin.json", "--method", "constructive"],
     ["represent", "--input", "{dir}/order5.json", "--method", "constructive"],
     ["chi", "--n", "2", "--N", "3"],
     ["extend-bounds", "--n", "2", "--N", "2..4"],
-    ["extend-bounds", "--n", "2", "--N", "3..4", "--exact", "--max-iters", "1"],  # exit 3
+    ["extend-bounds", "--n", "2", "--N", "3..4", "--exact", "--max-iters", "1"],
+    ["extend-bounds", "--n", "5", "--N", "5..6", "--exact", "--max-iters", "1"],  # exit 3
     ["extend-bounds", "--n", "3", "--m", "2", "--N", "3..4", "--exact"],
     ["euclid2", "--what", "norms", "--a", "1", "--b", "-1"],
     ["euclid2", "--what", "points", "--kind", "pip", "--resolution", "8"],
@@ -143,7 +147,12 @@ CLI_ONCE = [
     ["psi", "--a", "2", "--b", "-1", "--n", "2", "--output", "{out}"],
     ["kappa", "--n", "2", "--format", "table", "--output", "{out}"],
     ["extend-bounds", "--n", "2", "--N", "2..3", "--format", "csv", "--output", "{out}"],
-    ["kappa", "--n", "4", "--max-iters", "1", "--output", "{out}"],       # exit 3
+    ["kappa", "--n", "4", "--max-iters", "1", "--output", "{out}"],
+    ["kappa", "--n", "5", "--max-iters", "1", "--output", "{out}"],       # exit 3
+    # permutation-invariant solves off the benchmark pools
+    ["kappa", "--n", "5"],
+    ["extend-bounds", "--n", "4", "--N", "4..8", "--exact"],
+    ["extend-bounds", "--n", "3", "--N", "3..20", "--exact"],
     # negative numbers in exponent notation are values
     ["psi", "--a", "-1e5", "--b", "1", "--n", "2"],
     ["euclid2", "--what", "norms", "--a", "1", "--b", "-1e308"],
