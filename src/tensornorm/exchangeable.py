@@ -309,7 +309,8 @@ def kappa_nNm_bounds(n: int, N: int, m: int, exact: bool = False,
     upper: 1 + K 2 m n / N with K the sharpened order-n upper bound;
     lower: exp((m-1) / (2 ceil(N/n))).  exact=True maximises the LP value
     over the state-count classes of the conditioning word (practical for
-    N <= 12, m <= 3).
+    N <= 12, m <= 3).  For m > 1 it skips the one-colour class (N, 0, ...),
+    whose i.i.d. law has norm 1, below the law of (N - 1, 1, 0, ...).
     """
     if not (N >= n >= m >= 1):
         raise ValueError("need N >= n >= m >= 1")
@@ -318,15 +319,12 @@ def kappa_nNm_bounds(n: int, N: int, m: int, exact: bool = False,
     lower = math.exp((m - 1) / (2 * math.ceil(N / n)))
     lp_value = None
     if exact:
-        best: NormBounds | None = None
-        for counts in norm_solver._compositions(m, N)[::-1].tolist():
+        for counts in norm_solver._compositions(m, N)[::-1].tolist()[int(m > 1):]:
             if counts != sorted(counts, reverse=True):
                 continue  # one count vector per class: the non-increasing one
-            tensor = _pushforward_chi(n, N, counts)
-            nb = norm_solver.norm_pisp(tensor, norm_solver.l1(m), opts)
-            if best is None or nb.upper > best.upper:
-                best = nb
-        lp_value = best
+            nb = norm_solver.norm_pisp(_pushforward_chi(n, N, counts), norm_solver.l1(m), opts)
+            if lp_value is None or nb.upper > lp_value.upper:
+                lp_value = nb
     return ExtendibilityBounds(n, N, m, lower, upper, lp_value)
 
 

@@ -135,6 +135,8 @@ def solve_min_tv(columns, target, max_iters: int | None = None) -> LPSolution:
     b0 = np.asarray(target, dtype=float)
     if b0.shape != (d,):
         raise ValueError(f"target dimension {b0.shape} does not match columns ({d},)")
+    if not (np.isfinite(cols).all() and np.isfinite(b0).all()):
+        raise ValueError("columns and target must be finite")
     if not np.any(b0):
         return LPSolution(np.zeros(n_cols), 0.0, np.zeros(d), "optimal", 0)
 

@@ -18,9 +18,10 @@ is delegated to the euclid2 gallery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations, groupby, product
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -392,12 +393,16 @@ class _OrbitPowerFamily:
     def __init__(self, dim: int, n: int):
         self.dim = dim
         self.n = n
-        # partitions of n into at most dim parts: the non-increasing compositions
-        self.parts = [tuple(k for k in row if k)
-                      for row in _compositions(min(n, dim), n)[::-1].tolist()
-                      if row == sorted(row, reverse=True)]
-        # m_lambda at the all-ones point counts the multi-indices of type lambda
-        self.sizes = _block_table(self.parts, (dim,), np.asarray([[n]]))[:, 0]
+        # a multi-index's type, the partition of n into its multiplicities, is set by
+        # where its entries step up; the rows are these partitions, largest first
+        idx = multi_indices(dim, n)
+        steps = [tuple(map(int.__ne__, i, i[1:])) for i in idx]
+        kind = {s: tuple(sorted(Counter(i).values(), reverse=True))
+                for s, i in dict(zip(steps, idx)).items()}
+        self.parts = sorted(set(kind.values()), reverse=True)
+        row = {s: self.parts.index(k) for s, k in kind.items()}
+        self.types = np.asarray([row[s] for s in steps])
+        self.sizes = np.bincount(self.types)
         self._tables: dict = {}   # blocks -> (column table over the parts, exponent counts)
         # barycentres of k coordinates, k = 1..dim, as columns over the parts
         self.barycentres = [tuple([1.0 / k] * k + [0.0] * (dim - k)) for k in range(1, dim + 1)]
@@ -413,19 +418,20 @@ class _OrbitPowerFamily:
                 self._pricing.append((blocks, inner, table * scale))
 
     def reduce(self, t: SymmetricTensor) -> np.ndarray:
-        """The target's row for each partition: its value at one multi-index of that type."""
-        return np.asarray([float(t.value(sum(((i,) * p for i, p in enumerate(lam)), ())))
-                           for lam in self.parts])
+        """The target at the first multi-index of each type; ValueError unless
+        every entry equals its type's value to 1e-12 of the largest |entry|."""
+        vec = np.asarray(t.vector())
+        rows = vec[np.unique(self.types, return_index=True)[1]]
+        if np.abs(vec - rows[self.types]).max() > 1e-12 * np.abs(vec).max():
+            raise ValueError("the target is not invariant under permutations of the coordinates")
+        return rows
 
     def expand_dual(self, y) -> list[float]:
         """The full dual y_alpha = y_lambda(alpha) / #{alpha of type lambda}."""
-        row = {lam: float(v / s) for lam, v, s in zip(self.parts, y, self.sizes)}
-        return [row[tuple(sorted((len(list(run)) for _, run in groupby(idx)), reverse=True))]
-                for idx in multi_indices(self.dim, self.n)]
+        return (np.asarray(y) / self.sizes)[self.types].tolist()
 
     # -- column interface ---------------------------------------------------
-    def key(self, x) -> tuple:
-        return tuple(round(float(v), 12) for v in x)
+    key = _PowerFamily.key
 
     def _table(self, blocks: tuple):
         """(T, counts): the column of a point with blocks[i] coordinates at v_i is
@@ -550,8 +556,8 @@ def norm_pisp_invariant(t: SymmetricTensor, opts: SolverOptions | None = None) -
     """norm_pisp over l1^m for a target invariant under every permutation of the coordinates.
 
     Runs the master LP on orbit sums, one row per partition of the order,
-    and prices by the half-degree principle (see ``_OrbitPowerFamily``).  The
-    target is read at one multi-index of each type, so it must be invariant.
+    and prices by the half-degree principle (see ``_OrbitPowerFamily``).  It
+    raises ValueError unless the target is invariant to 1e-12 relative.
     The result has the shape of ``norm_pisp``'s: the primal lists every
     distinct permutation of each orbit point with its share of the weight,
     and the dual spreads each row's value evenly over the multi-indices of
@@ -603,29 +609,21 @@ def kappa(n: int, opts: SolverOptions | None = None) -> NormBounds:
     if n == 1:
         one = SignedPowerCombination(1, 1, ((1.0, (1.0,)),))
         return NormBounds(1.0, 1.0, one, [1.0], 0, True)
-    return _kappa_cached(n, opts or SolverOptions())
+    nb = _kappa_cached(n, opts or SolverOptions())
+    return replace(nb, dual=None if nb.dual is None else list(nb.dual))
 
 
 def cssp_l1(n: int) -> NormBounds:
-    """Bracket for the power-ratio constant sup psi(a, b) / (|a| + |b|)^n.
+    """The power-ratio constant sup psi(a, b) / (|a| + |b|)^n, exactly 2^(n-1).
 
-    The lower end is a maximisation of the closed form over the circle grid
-    (cos theta, -sin theta); the upper end is the leading-coefficient bound
-    2^(n-1) (|a| + |b|)^n, attained at a = -b.
+    The upper end is the leading-coefficient bound psi(a, b) <= 2^(n-1)
+    (|a| + |b|)^n; the lower end is its witness a = -b, where the integer
+    psi(1, -1, n) = 2^(2n-1) gives the ratio 2^(2n-1) / 2^n exactly.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    grid_size = 4096  # even, so theta = pi/4 is on the grid
-    best = 0.0
-    for i in range(grid_size + 1):
-        theta = (math.pi / 2) * i / grid_size
-        a, b = math.cos(theta), -math.sin(theta)
-        denom = (abs(a) + abs(b)) ** n
-        if denom == 0.0:
-            continue
-        best = max(best, psi(a, b, n) / denom)
-    upper = 2.0 ** (n - 1)
-    return NormBounds(min(best, upper), upper, None, None, grid_size, True)
+    upper = 2.0 ** (n - 1)   # OverflowError from n = 1025, before psi's exact sum
+    return NormBounds(psi(1, -1, n) / 2 ** n, upper, None, None, 0, True)
 
 
 def polarization_constants(n: int, opts: SolverOptions | None = None) -> PolarizationConstants:

@@ -84,6 +84,7 @@ class SymmetricTensor:
                 raise ValueError(f"index {idx} out of range for dim {self.dim}")
             if any(idx[k] > idx[k + 1] for k in range(len(idx) - 1)):
                 raise ValueError(f"index {idx} is not non-decreasing")
+        check_finite(*self.entries.values())
 
     def value(self, idx: Sequence[int]):
         """Full-tensor value at any ordering of idx."""

@@ -540,7 +540,25 @@ def test_extendibility_count_classes(N, monkeypatch):
         walked.clear()
         kappa_nNm_bounds(m, N, m, exact=True)
         want = [list(c) for c in ref_compositions_desc(N, m)]
+        if m > 1:
+            want = want[1:]   # the one-colour class (N, 0, ...) is skipped
         assert same_value(walked, want)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (4, 2), (3, 3), (4, 3)])
+def test_extendibility_maximum_over_every_class(n, m):
+    # skipping the one-colour class keeps the maximum: its law has norm 1,
+    # and any cap on the rounds keeps the upper end of (N - 1, 1, ...) above 1;
+    # m = 3 solves are grid + polish, capped at two rounds to stay short
+    opts = SolverOptions(max_rounds=2) if m == 3 else None
+    for N in range(n, n + 4):
+        best = None
+        for counts in ref_compositions_desc(N, m):
+            nb = norm_pisp(exchangeable._pushforward_chi(n, N, list(counts)), l1(m), opts)
+            if best is None or nb.upper > best.upper:
+                best = nb
+        assert best.upper > 1.0
+        _assert_same_bounds(kappa_nNm_bounds(n, N, m, exact=True, opts=opts).lp_value, best)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,16 @@ class TestBasicSolves:
         with pytest.raises(ValueError):
             solve_min_tv([(1.0, 0.0)], (1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("cols, target", [
+        ([(1, 0), (0, 1)], (math.nan, 1)),
+        ([(1, 0), (0, 1)], (1, -math.inf)),
+        ([(1, math.nan), (0, 1)], (1, 1)),
+        ([(1, 0), (math.inf, 1)], (1, 1)),
+    ])
+    def test_non_finite_input_rejected(self, cols, target):
+        with pytest.raises(ValueError, match="finite"):
+            solve_min_tv(cols, target)
+
 
 class TestVerification:
     def test_optimal_solution_passes(self):

@@ -161,6 +161,15 @@ class TestKappa:
             assert nb.lower >= n ** n / math.factorial(n) - 1e-6
             assert nb.upper <= uv_bound(n) + 1e-6
 
+    def test_cached_result_is_not_shared(self):
+        want = kappa(3)
+        nb = kappa(3)
+        nb.lower = 0.0
+        nb.dual[0] = 123.0
+        again = kappa(3)
+        assert again is not nb and again.dual is not nb.dual
+        assert again.lower == want.lower and again.dual == want.dual
+
 
 class TestCsspL1:
     @pytest.mark.parametrize("n,value", [(1, 1.0), (2, 2.0), (5, 16.0)])
@@ -168,6 +177,12 @@ class TestCsspL1:
         nb = cssp_l1(n)
         assert nb.contains(value, 1e-6)
         assert nb.gap() <= 1e-6
+
+    def test_exact_for_every_order(self):
+        for n in range(1, 61):
+            nb = cssp_l1(n)
+            assert nb.lower == nb.upper == 2.0 ** (n - 1), n
+            assert nb.iterations == 0 and nb.converged
 
     def test_maximizer_at_antidiagonal(self):
         n = 4
@@ -406,6 +421,34 @@ class TestOrbitFamily:
         assert 0.0 < nb.lower <= nb.upper
         tv = math.fsum(abs(w) for w, _ in nb.primal.terms)
         assert nb.primal.evaluate().residual_inf(_wedge_basis(6)) <= 1e-12 * tv
+
+    def test_rejects_a_target_that_is_not_invariant(self):
+        # (0, 0) and (1, 1) share a type but hold 0.04 and 0.64: the norm is 1
+        with pytest.raises(ValueError, match="invariant"):
+            norm_pisp_invariant(power((0.2, 0.8), 2))
+        entries = dict(chi_nN(3, 4).tensor.entries)
+        entries[(1, 2, 3)] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="invariant"):
+            norm_pisp_invariant(SymmetricTensor(4, 3, entries))
+
+    def test_accepts_rounding_noise(self):
+        t = chi_nN(3, 4).tensor
+        entries = dict(t.entries)
+        entries[(1, 2, 3)] *= 1.0 + 1e-13
+        noisy = norm_pisp_invariant(SymmetricTensor(4, 3, entries))
+        assert noisy.upper == pytest.approx(norm_pisp_invariant(t).upper, rel=1e-9)
+
+    @pytest.mark.parametrize("dim,n", [(1, 1), (4, 1), (3, 2), (2, 5), (5, 3), (4, 4)])
+    def test_types_index_the_partitions(self, dim, n):
+        fam = _OrbitPowerFamily(dim, n)
+        idx = multi_indices(dim, n)
+        types = [tuple(sorted((i.count(c) for c in set(i)), reverse=True)) for i in idx]
+        assert [fam.parts[k] for k in fam.types] == types
+        assert fam.sizes.tolist() == [types.count(lam) for lam in fam.parts]
+        rng = random.Random(f"orbit-types:{dim}:{n}")
+        value = {lam: rng.uniform(-1, 1) for lam in fam.parts}
+        t = SymmetricTensor(dim, n, {i: value[lam] for i, lam in zip(idx, types)})
+        assert fam.reduce(t).tolist() == [value[lam] for lam in fam.parts]
 
     @pytest.mark.parametrize("n,N", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4)])
     def test_overlaps_the_plain_solve(self, n, N):

@@ -297,6 +297,13 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             SymmetricTensor(2, 2, {(0, 2): 1.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SymmetricTensor(2, 2, {(0, 0): bad, (0, 1): 0.5, (1, 1): 0.2})
+        with pytest.raises(ValueError, match="finite"):
+            power((1e200, 1.0), 2)   # overflows to inf
+
 
 class TestMultiplicity:
     def test_values(self):

@@ -19,13 +19,16 @@ One checkout takes about 4.5 minutes on 2 cores.
 With ``--cli`` it runs a fixed battery of command lines through
 ``tensornorm.cli.main`` instead (every subcommand in every ``--format``,
 rational ``psi``, runs that exit 3, ``--output``, negative numbers,
-permutation-invariant solves off the benchmark pools and rejected input).  It records each command's exit code and stdout, the file
-``--output`` wrote, and stderr where the exit code is 0 or 3; the wording of
-a rejection on stderr is not recorded.  An uncaught exception is recorded as
-exit 1, the code the process would exit with.  It touches nothing but
-``cli.main``, so any two checkouts compare with one ``cmp``, in a few
-seconds each (checkouts that solve the permutation-invariant commands over
-the full l1^N master, without orbit reduction, take far longer).
+permutation-invariant solves off the benchmark pools, count classes on m
+states, the order-8 constants and rejected input).  It records each
+command's exit code and stdout, the file ``--output`` wrote, and stderr
+where the exit code is 0 or 3; the wording of a rejection on stderr is not
+recorded.  An uncaught exception is recorded as exit 1, the code the
+process would exit with.  It touches nothing but ``cli.main``, so any two
+checkouts compare with one ``cmp``, in about 25 seconds each on 2 cores,
+most of it ``constants --n 8`` (checkouts that solve the
+permutation-invariant commands over the full l1^N master, without orbit
+reduction, take far longer).
 """
 
 from __future__ import annotations
@@ -153,6 +156,10 @@ CLI_ONCE = [
     ["kappa", "--n", "5"],
     ["extend-bounds", "--n", "4", "--N", "4..8", "--exact"],
     ["extend-bounds", "--n", "3", "--N", "3..20", "--exact"],
+    # count classes on m states, and the power-ratio constant at order 8
+    ["extend-bounds", "--n", "4", "--m", "2", "--N", "4..8", "--exact"],
+    ["extend-bounds", "--n", "3", "--m", "3", "--N", "3..6", "--exact"],
+    ["constants", "--n", "8"],
     # negative numbers in exponent notation are values
     ["psi", "--a", "-1e5", "--b", "1", "--n", "2"],
     ["euclid2", "--what", "norms", "--a", "1", "--b", "-1e308"],
