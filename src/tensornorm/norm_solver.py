@@ -80,12 +80,15 @@ POLISH_ITERS = 80      # projected-gradient steps per grid start
 def _monomials(x, counts) -> np.ndarray:
     """prod_c x[..., c] ** counts[:, c] for one point x or a batch of points.
 
-    Factors are multiplied in coordinate order, zero exponents skipped.
+    One coordinate's powers x_c^0..x_c^n at a time are gathered by exponent and
+    multiplied, in coordinate order, into a C-ordered output (a gathered batch is
+    Fortran-ordered, and its product with y sums in another order); x^0 = 1.0.
     """
     x = np.asarray(x, dtype=float)
+    powers = np.arange(counts.max(initial=0) + 1)
     out = np.ones(x.shape[:-1] + (len(counts),))
     for c, k in enumerate(counts.T):
-        out[..., k > 0] *= x[..., c, None] ** k[k > 0]
+        out *= (x[..., c, None] ** powers)[..., k]
     return out
 
 
@@ -189,11 +192,15 @@ class _PowerFamily:
                              for eps in product((1, -1), repeat=m - 1)]
         else:
             self.patterns = [np.ones(m)]
-        self.sign_factors = [_monomials(pat, self.counts) for pat in self.patterns]
-        # d/dx_c x^counts = counts[:, c] x^(counts - e_c), nonzero where counts[:, c] > 0
-        eye = np.eye(m, dtype=int)
-        self._grad_terms = [(k > 0, (self.counts - eye[c])[k > 0], k[k > 0])
-                            for c, k in enumerate(self.counts.T)]
+        # positions in a point's power table, entry c (n + 1) + k = x_c^k: the factors
+        # of x^counts, and per c those of d/dx_c x^counts = counts[:, c] x^(counts - e_c),
+        # all x^0 = 1.0 where counts[:, c] = 0, so that term is 0 * 1.0 = +0.0
+        self._powers = np.arange(n + 1)
+        base = (n + 1) * np.arange(m)[:, None]
+        self._take = base + self.counts.T
+        grad = self.counts.T[:, None] - np.eye(m, dtype=int)[:, :, None]
+        self._grad_take = base[:, None] + np.where(self.counts.T > 0, grad, 0)
+        self.sign_factors = [self.column(pat) for pat in self.patterns]
         self._grid = None
         self._grid_cols = None
 
@@ -202,7 +209,12 @@ class _PowerFamily:
         return tuple(round(float(v), 12) for v in x)
 
     def column(self, x) -> np.ndarray:
-        return _monomials(x, self.counts)
+        return self._products(x, self._take)
+
+    def _products(self, x, take):
+        # products over the first axis of take, in coordinate order, of x's power table
+        table = np.asarray(x, dtype=float)[:, None] ** self._powers
+        return np.multiply.reduce(table.take(take), axis=0)
 
     def primal(self, params, weights, prune):
         terms = []
@@ -303,27 +315,25 @@ class _PowerFamily:
         return x / s if s > 0 else x
 
     def _poly_value(self, x, y):
-        return float(_monomials(x, self.counts) @ y)
+        return float(self.column(x) @ y)
 
     def _poly_grad(self, x, y):
-        grad = np.zeros(self.m)
-        for c, (rows, sub, k) in enumerate(self._grad_terms):
-            # zero-filled to full length, so the dot sums in the same order as the value
-            part = np.zeros(len(self.indices))
-            part[rows] = k * _monomials(x, sub)
-            grad[c] = float(part @ y)
-        return grad
+        # one full-length dot per coordinate, as the value's: (m, L) @ y sums otherwise
+        parts = self.counts.T * self._products(x, self._grad_take)
+        return np.asarray([float(part @ y) for part in parts])
 
     def _polish(self, x0, y, sign):
         x = np.asarray(x0, dtype=float).copy()
         f = sign * self._poly_value(x, y)
         step = 0.25
+        g = None   # the ascent direction, kept until x moves
         for _ in range(POLISH_ITERS):
-            g = sign * self._poly_grad(x, y)
-            g = g - g.mean()
-            gnorm = float(np.linalg.norm(g))
-            if gnorm < 1e-15:
-                break
+            if g is None:
+                g = sign * self._poly_grad(x, y)
+                g = g - g.mean()
+                gnorm = float(np.linalg.norm(g))
+                if gnorm < 1e-15:
+                    break
             cand = np.clip(x + step * g / gnorm, 0.0, None)
             s = cand.sum()
             if s <= 0:
@@ -332,7 +342,7 @@ class _PowerFamily:
             cand /= s
             fc = sign * self._poly_value(cand, y)
             if fc > f + 1e-17:
-                x, f = cand, fc
+                x, f, g = cand, fc, None
                 step = min(step * 1.6, 0.5)
             else:
                 step *= 0.5

@@ -8,14 +8,17 @@ floating-point operation.  Later the copies of one computation were folded
 into one home: the composition table (simplex lattice, exponent counts,
 diagonal lookup, extendibility count classes), the signed-term merge
 (polarization expansion, Chebyshev nodes), the power loop and the 2x2 trace
-norm.  The loop versions live on here as references, and every comparison is
-on the bytes of the result (value and type for Fractions), so a reordered sum
-or a lost sign of zero fails.
+norm.  Then each point's monomials came from one power table, and the polish
+kept its direction across rejected steps.  The loop versions live on here as
+references, and every comparison is on the bytes of the result (value and
+type for Fractions), so a reordered sum or a lost sign of zero fails.
 """
 
 import math
 import random
 import struct
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -420,7 +423,8 @@ def test_poly_coeffs(seed):
 # ---------------------------------------------------------------------------
 # monomials of _PowerFamily
 
-FAMILIES = [(2, 1), (2, 7), (3, 1), (3, 4), (4, 3), (4, 5), (5, 2), (5, 4)]
+FAMILIES = [(2, 1), (2, 7), (3, 1), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 5), (5, 2),
+            (5, 4)]
 
 
 def _points(m, seed):
@@ -473,12 +477,87 @@ def test_polish(m, n):
             assert same_bits(x, ref_x) and same_bits(v, ref_v)
 
 
-@pytest.mark.parametrize("m, n", [(3, 4), (4, 3), (5, 2)])
+@pytest.mark.parametrize("m, n", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)])
 def test_pricing_grid(m, n):
     fam = _PowerFamily(m, n, signed=False)
     fam._oracle_grid(np.ones(len(fam.indices)))
     assert fam._grid is ref_grid(m)
-    assert same_bits(fam._grid_cols, ref_grid_cols(fam._grid, fam.counts))
+    ref = ref_grid_cols(fam._grid, fam.counts)
+    assert same_bits(fam._grid_cols, ref)
+    # equal bytes in another layout would pass the line above, yet the product
+    # with y would run another BLAS kernel and sum in another order
+    assert fam._grid_cols.flags.c_contiguous
+    rng = np.random.default_rng(m * 10 + n)
+    for _ in range(4):
+        y = rng.uniform(-2, 2, size=len(fam.indices))
+        assert same_bits(fam._grid_cols @ y, ref @ y)
+
+
+@pytest.mark.parametrize("m, n", [f for f in FAMILIES if f[0] >= 3])
+def test_polish_from_lattice_points(m, n):
+    # _oracle_grid starts the polish at pricing-lattice points, which have exact zeros
+    fam = _PowerFamily(m, n, signed=False)
+    grid = ref_grid(m)
+    rng = np.random.default_rng(m * 10000 + n)
+    starts = [grid[0], grid[-1], grid[len(grid) // 2]]
+    starts += [grid[i] for i in rng.integers(len(grid), size=6)]
+    for x0 in starts:
+        y = rng.uniform(-2, 2, size=len(fam.indices))
+        for sign in (1.0, -1.0):
+            x, v = fam._polish(x0, y, sign)
+            ref_x, ref_v = ref_polish(fam, x0, y, sign)
+            assert same_bits(x, ref_x) and same_bits(v, ref_v)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (4, 3)])
+def test_poly_grad_where_the_top_power_overflows(m, n):
+    # x_0^n is inf and x_0^(n-1) finite: every term with counts[:, c] = 0 must
+    # stay an exact 0.0, not 0 * inf = nan
+    fam = _PowerFamily(m, n, signed=False)
+    y = np.random.default_rng(m * 10 + n).uniform(-2, 2, size=len(fam.indices))
+    big = 2.0 ** (1023 / (n - 0.5))
+    for x in (np.r_[big, np.full(m - 1, 0.5)], np.r_[-big, np.linspace(-1, 1, m - 1)]):
+        with np.errstate(over="ignore"):
+            grad = fam._poly_grad(x, y)
+            assert same_bits(grad, ref_poly_value_grad(fam, x, y)[1])
+        assert np.isfinite(grad).all()
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (3, 3), (3, 4), (4, 2)])
+def test_polish_gradient_once_per_point(m, n, monkeypatch):
+    # the reference takes the gradient on every step, also after a rejected one;
+    # _polish takes it once at the start and once after each accepted step
+    fam = _PowerFamily(m, n, signed=False)
+    grads, ref_args = [], []
+    poly_grad, value_grad = _PowerFamily._poly_grad, ref_poly_value_grad
+
+    def counted_grad(self, x, y):
+        grads.append(x.tobytes())
+        return poly_grad(self, x, y)
+
+    def counted_value_grad(self, x, y):
+        ref_args.append(x)
+        return value_grad(self, x, y)
+
+    monkeypatch.setattr(_PowerFamily, "_poly_grad", counted_grad)
+    monkeypatch.setattr(sys.modules[__name__], "ref_poly_value_grad", counted_value_grad)
+    grid = ref_grid(m)
+    rng = np.random.default_rng(m * 100000 + n)
+    repeats = 0
+    for x0 in [grid[i] for i in rng.integers(len(grid), size=4)] + _points(m, m)[:4]:
+        y = rng.uniform(-2, 2, size=len(fam.indices))
+        for sign in (1.0, -1.0):
+            grads.clear()
+            ref_args.clear()
+            fam._polish(x0, y, sign)
+            ref_polish(fam, x0, y, sign)
+            # the reference passes each candidate once, to the value; the start and
+            # each accepted candidate it also passes to every gradient taken there
+            uses = Counter(map(id, ref_args))
+            points = {id(a): a for a in ref_args if uses[id(a)] > 1}.values()
+            assert grads == [a.tobytes() for a in points]
+            repeats += sum(k - 2 for k in uses.values() if k > 1)
+    assert repeats > 0   # the reference did take gradients again at a point
 
 
 # ---------------------------------------------------------------------------

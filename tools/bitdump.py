@@ -2,6 +2,7 @@
 
     python3 tools/bitdump.py CHECKOUT OUT.json
     python3 tools/bitdump.py --cli CHECKOUT OUT.json
+    python3 tools/bitdump.py --diff OLD.json NEW.json
 
 Imports ``tensornorm`` from ``CHECKOUT/src`` and the inputs and operations
 from ``CHECKOUT/bench/workloads.py``, both unchanged, and runs every pool
@@ -14,7 +15,7 @@ compute the same bits exactly when their dumps are equal byte for byte:
     python3 tools/bitdump.py NEW new.json
     cmp old.json new.json
 
-One checkout takes about 4.5 minutes on 2 cores.
+One checkout takes about 2.5 minutes on 2 cores.
 
 With ``--cli`` it runs a fixed battery of command lines through
 ``tensornorm.cli.main`` instead (every subcommand in every ``--format``,
@@ -25,10 +26,20 @@ command's exit code and stdout, the file ``--output`` wrote, and stderr
 where the exit code is 0 or 3; the wording of a rejection on stderr is not
 recorded.  An uncaught exception is recorded as exit 1, the code the
 process would exit with.  It touches nothing but ``cli.main``, so any two
-checkouts compare with one ``cmp``, in about 25 seconds each on 2 cores,
-most of it ``constants --n 8`` (checkouts that solve the
+checkouts compare with one ``cmp``, in about 6 seconds each on 2 cores,
+most of it ``extend-bounds --n 3 --m 3 --N 3..6 --exact`` (checkouts that solve the
 permutation-invariant commands over the full l1^N master, without orbit
 reduction, take far longer).
+
+With ``--diff`` it compares two dumps of either kind.  For each workload
+(``cli`` for a battery) it prints how many entries differ, and for each
+differing entry its key and the largest relative move of any bracket end
+in it: a field named ``lower``, ``upper``, ``total_variation`` or ``tv``
+(or ending so, as ``exact_upper``) or a two-element ``..._bracket``, also
+inside JSON on stdout and in the rows of a table.  An entry whose bracket
+ends all kept their bits differs elsewhere (round counts, atoms, text).
+It exits 1 when any entry differs and 0 when the dumps hold the same
+entries with the same bits.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from fractions import Fraction  # noqa: E402
@@ -217,15 +229,86 @@ def dump_cli(checkout: Path) -> dict:
     return out
 
 
+BRACKET_ENDS = ("lower", "upper", "total_variation", "tv")
+
+
+def _number(value):
+    """A dumped float (its hex form) or a JSON number as a float, else None."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            return float.fromhex(value)
+    return None
+
+
+def bracket_ends(entry, path="") -> dict:
+    """{path: float} for every bracket end in a dumped entry."""
+    if isinstance(entry, str) and entry[:1] in "{[":
+        with contextlib.suppress(ValueError):   # CLI stdout in --format json
+            return bracket_ends(json.loads(entry), path)
+    out = {}
+    if isinstance(entry, dict):
+        if isinstance(entry.get("columns"), list) and isinstance(entry.get("rows"), list):
+            entry = dict(entry, rows=[dict(zip(entry["columns"], row))
+                                      for row in entry["rows"]])
+        for key, value in entry.items():
+            if key.endswith("bracket") and isinstance(value, list) and len(value) == 2:
+                value = dict(zip(("lower", "upper"), value))
+            if key.endswith(BRACKET_ENDS) and _number(value) is not None:
+                out[f"{path}/{key}"] = _number(value)
+            else:
+                out.update(bracket_ends(value, f"{path}/{key}"))
+    elif isinstance(entry, list):
+        for i, value in enumerate(entry):
+            out.update(bracket_ends(value, f"{path}/{i}"))
+    return out
+
+
+def largest_move(old, new) -> tuple[float, str]:
+    """(relative move, path) of the bracket end that moved most; (0.0, '') if none did."""
+    a, b = bracket_ends(old), bracket_ends(new)
+    best = (0.0, "")
+    for path in sorted(a.keys() & b.keys()):
+        x, y = a[path], b[path]
+        if x.hex() != y.hex():
+            move = abs(y - x) / abs(x) if x else math.inf
+            best = max(best, (math.inf if math.isnan(move) else move, path))
+    return best
+
+
+def diff(old: dict, new: dict) -> int:
+    """Print the entries of two dumps that differ, by workload; 1 if any does."""
+    groups: dict = {}
+    for key in sorted(old.keys() | new.keys()):
+        head = key.split("/", 1)[0]
+        groups.setdefault(head if head in WORKLOADS else "cli", []).append(key)
+    differs = 0
+    for group, keys in groups.items():
+        moved = [k for k in keys if k not in old or k not in new or old[k] != new[k]]
+        differs += len(moved)
+        print(f"{group}: {len(moved)} of {len(keys)} entries differ")
+        for key in moved:
+            if key not in old or key not in new:
+                print(f"  {key}: only in {'NEW' if key in new else 'OLD'}")
+                continue
+            move, path = largest_move(old[key], new[key])
+            print(f"  {key}: " + (f"{move:.2e} relative, at {path}" if path
+                                  else "no bracket end moved"))
+    return 1 if differs else 0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    cli_mode = argv[:1] == ["--cli"]
-    argv = argv[1:] if cli_mode else argv
+    mode = argv[0] if argv[:1] in (["--cli"], ["--diff"]) else None
+    argv = argv[1:] if mode else argv
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
+    if mode == "--diff":
+        return diff(*(json.loads(Path(a).read_text(encoding="utf-8")) for a in argv))
     checkout, target = Path(argv[0]).resolve(), Path(argv[1])
-    result = dump_cli(checkout) if cli_mode else dump(checkout)
+    result = dump_cli(checkout) if mode else dump(checkout)
     target.write_text(json.dumps(result, sort_keys=True, indent=0) + "\n", encoding="utf-8")
     print(f"{len(result)} entries -> {target}", file=sys.stderr)
     return 0
