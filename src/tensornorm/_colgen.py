@@ -2,7 +2,10 @@
 
 A *generator family* supplies candidate vectors (or vector pairs) whose
 columns the master LP may combine, plus a pricing oracle that maximises
-|<y, column(p)>| over the whole continuous family.  Each solve yields
+|<y, column(p)>| over the whole continuous family, and builds the witness
+from the (parameter, weight) pairs kept.  The loop owns column identity, a
+parameter (a scalar or a tuple) to 12 decimals, and drops weights of at
+most PRUNE_TOL before the witness is built.  Each solve yields
 
   upper  -- the LP objective, the cost of an explicit decomposition;
   lower  -- (target . y) / max(M, 1), where M is the oracle maximum of the
@@ -96,7 +99,7 @@ def run_column_generation(target, family, opts: SolverOptions | None = None) -> 
     cols: list = []
 
     def add(p) -> bool:
-        k = family.key(p)
+        k = tuple(round(float(v), 12) for v in (p if isinstance(p, tuple) else (p,)))
         if k in keys:
             return False
         keys.add(k)
@@ -140,5 +143,6 @@ def run_column_generation(target, family, opts: SolverOptions | None = None) -> 
     scale = max(oracle_max, 1.0)
     lower = min(float(target @ sol.dual) / scale, upper)
     dual_scaled = (np.asarray(sol.dual) / scale).tolist()
-    primal, pairs = family.primal(params, sol.weights, PRUNE_TOL)
+    kept = [(p, float(w)) for p, w in zip(params, sol.weights) if abs(w) > PRUNE_TOL]
+    primal, pairs = family.primal(kept)
     return NormBounds(lower, upper, primal, dual_scaled, rounds, converged, pairs)

@@ -1,8 +1,9 @@
 """Command-line front end with deterministic machine-readable output.
 
-Exit codes: 0 success, 2 validation error, 3 result computed but not
-converged (the result is still printed).  JSON output is byte-stable:
-keys are sorted and floats carry 17 significant digits.
+Exit codes: 0 success, 2 rejected input (any ValueError a command raises),
+3 result computed but not converged (the result is still printed).  JSON
+output is byte-stable: keys are sorted and floats carry 17 significant
+digits.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ from fractions import Fraction
 from . import euclid2, exchangeable, norm_solver
 from ._colgen import SolverOptions
 from .chebyshev import optimal_decomposition_m2, psi
-
-
-class ValidationError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +159,18 @@ def _read_distribution(path: str):
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
     except OSError as exc:
-        raise ValidationError(f"cannot read input: {exc}")
+        raise ValueError(f"cannot read input: {exc}")
     try:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"input:{exc.lineno}:{exc.colno}: {exc.msg}")
+        raise ValueError(f"input:{exc.lineno}:{exc.colno}: {exc.msg}")
     try:
         atoms = [(tuple(a["idx"]), float(a["p"])) for a in payload["atoms"]]
         states = payload.get("states")
         order = payload.get("order")
     except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed distribution JSON: {exc}")
-    try:
-        return exchangeable.load_distribution(atoms, states=states, order=order)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
+        raise ValueError(f"malformed distribution JSON: {exc}")
+    return exchangeable.load_distribution(atoms, states=states, order=order)
 
 
 def _cmd_represent(args):
@@ -191,26 +185,18 @@ def _cmd_represent(args):
 
 
 def _cmd_chi(args):
-    try:
-        d = exchangeable.chi_nN(args.n, args.N)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
-    return d.to_json_dict(), True
+    return exchangeable.chi_nN(args.n, args.N).to_json_dict(), True
 
 
 def _cmd_extend_bounds(args):
     rows = []
     converged = True
     for N in args.N:
-        try:
-            if args.m is None:
-                eb = exchangeable.kappa_nN_bounds(args.n, N, exact=args.exact,
-                                                  opts=_options(args))
-            else:
-                eb = exchangeable.kappa_nNm_bounds(args.n, N, args.m,
-                                                   exact=args.exact, opts=_options(args))
-        except ValueError as exc:
-            raise ValidationError(str(exc))
+        if args.m is None:
+            eb = exchangeable.kappa_nN_bounds(args.n, N, exact=args.exact, opts=_options(args))
+        else:
+            eb = exchangeable.kappa_nNm_bounds(args.n, N, args.m,
+                                               exact=args.exact, opts=_options(args))
         row = [eb.n, eb.N, eb.m if eb.m is not None else "", eb.lower, eb.upper]
         if eb.lp_value is not None:
             row.extend([eb.lp_value.lower, eb.lp_value.upper])
@@ -227,13 +213,10 @@ def _cmd_euclid2(args):
         pi_v, pisp_v, pip_v = euclid2.norms_ab(args.a, args.b)
         return {"a": args.a, "b": args.b, "pi": pi_v, "pisp": pisp_v, "pip": pip_v}, True
     if args.what == "points":
-        try:
-            pts = euclid2.extreme_points(args.kind, args.resolution)
-        except ValueError as exc:
-            raise ValidationError(str(exc))
+        pts = euclid2.extreme_points(args.kind, args.resolution)
         return {"columns": ["u", "v", "w"], "rows": [list(p) for p in pts]}, True
     if args.matrix is None:
-        raise ValidationError("--matrix is required for halfcircle")
+        raise ValueError("--matrix is required for halfcircle")
     nb = euclid2.half_circle_lp(args.matrix, _options(args))
     return nb.to_json_dict(), nb.converged
 
@@ -384,7 +367,7 @@ def main(argv=None) -> int:
     with sink as out:
         try:
             payload, converged = args.fn(args)
-        except ValidationError as exc:
+        except ValueError as exc:   # rejected input
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except OverflowError:

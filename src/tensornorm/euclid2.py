@@ -124,9 +124,6 @@ class _ArcPowerFamily:
         self.lo = lo
         self.hi = hi
 
-    def key(self, t) -> float:
-        return round(float(t), 13)
-
     def column(self, t) -> np.ndarray:
         c, s = math.cos(t), math.sin(t)
         return np.asarray([c * c, c * s, s * s])
@@ -148,21 +145,14 @@ class _ArcPowerFamily:
                 best_v, best_t = val, theta / 2
         return best_t, best_v, []
 
-    def primal(self, params, weights, prune):
-        terms = []
-        for t, w in zip(params, weights):
-            if abs(w) > prune:
-                terms.append((float(w), (math.cos(t), math.sin(t))))
+    def primal(self, kept):
+        terms = [(w, (math.cos(t), math.sin(t))) for t, w in kept]
         terms.sort(key=lambda term: term[1])
         return SignedPowerCombination(2, 2, tuple(terms)), None
 
 
 class _WedgePairFamily:
     """Generators u_s v u_t for positive unit vectors u_s, u_t, s <= t in [0, pi/2]."""
-
-    def key(self, st) -> tuple:
-        s, t = st
-        return (round(float(s), 13), round(float(t), 13))
 
     def column(self, st) -> np.ndarray:
         s, t = st
@@ -200,12 +190,9 @@ class _WedgePairFamily:
                 best = (min(s, t), max(s, t))
         return best, best_v, []
 
-    def primal(self, params, weights, prune):
-        pairs = []
-        for (s, t), w in zip(params, weights):
-            if abs(w) > prune:
-                pairs.append((float(w), (math.cos(s), math.sin(s)),
-                              (math.cos(t), math.sin(t))))
+    def primal(self, kept):
+        pairs = [(w, (math.cos(s), math.sin(s)), (math.cos(t), math.sin(t)))
+                 for (s, t), w in kept]
         pairs.sort(key=lambda p: (p[1], p[2]))
         return None, pairs
 

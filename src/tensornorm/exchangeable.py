@@ -143,7 +143,7 @@ def chi_nN(n: int, N: int) -> ExchangeableDistribution:
     value = 1.0
     for k in range(n):
         value /= (N - k)
-    entries = {idx: value for idx in multi_indices(N, n) if len(set(idx)) == n}
+    entries = dict.fromkeys(combinations(range(N), n), value)
     return ExchangeableDistribution(tuple(range(N)), n, SymmetricTensor(N, n, entries))
 
 

@@ -205,9 +205,6 @@ class _PowerFamily:
         self._grid_cols = None
 
     # -- column interface ---------------------------------------------------
-    def key(self, x) -> tuple:
-        return tuple(round(float(v), 12) for v in x)
-
     def column(self, x) -> np.ndarray:
         return self._products(x, self._take)
 
@@ -216,11 +213,8 @@ class _PowerFamily:
         table = np.asarray(x, dtype=float)[:, None] ** self._powers
         return np.multiply.reduce(table.take(take), axis=0)
 
-    def primal(self, params, weights, prune):
-        terms = []
-        for p, w in zip(params, weights):
-            if abs(w) > prune:
-                terms.append((float(w), tuple(float(v) for v in p)))
+    def primal(self, kept):
+        terms = [(w, tuple(float(v) for v in p)) for p, w in kept]
         terms.sort(key=lambda t: t[1])
         return SignedPowerCombination(self.m, self.n, tuple(terms)), None
 
@@ -441,8 +435,6 @@ class _OrbitPowerFamily:
         return (np.asarray(y) / self.sizes)[self.types].tolist()
 
     # -- column interface ---------------------------------------------------
-    key = _PowerFamily.key
-
     def _table(self, blocks: tuple):
         """(T, counts): the column of a point with blocks[i] coordinates at v_i is
         T @ prod_i v_i^counts[:, i]; counts are those of _PowerFamily(len(blocks), n)."""
@@ -458,12 +450,11 @@ class _OrbitPowerFamily:
         table, counts = self._table(tuple(blocks.tolist()))
         return table @ _monomials(values, counts)
 
-    def primal(self, params, weights, prune):
+    def primal(self, kept):
         terms = []
-        for x, w in zip(params, weights):
-            if abs(w) > prune:
-                orbit = _arrangements(x)
-                terms.extend((float(w) / len(orbit), p) for p in orbit)
+        for x, w in kept:
+            orbit = _arrangements(x)
+            terms.extend((w / len(orbit), p) for p in orbit)
         terms.sort(key=lambda t: t[1])
         return SignedPowerCombination(self.dim, self.n, tuple(terms)), None
 
@@ -495,20 +486,21 @@ def _block_patterns(r: int, dim: int) -> list[tuple[int, ...]]:
 
 
 def _arrangements(x: tuple) -> list[tuple]:
-    """The distinct permutations of x: positions for each value in turn, the smallest last."""
-    values = sorted(set(x), reverse=True)
-    out = [((None,) * len(x), tuple(range(len(x))))]   # (partial arrangement, free positions)
-    for v in values[:-1]:
-        nxt = []
-        for slots, free in out:
-            for chosen in combinations(free, x.count(v)):
-                s = list(slots)
-                for pos in chosen:
-                    s[pos] = v
-                nxt.append((tuple(s), tuple(p for p in free if p not in chosen)))
-        out = nxt
-    last = values[-1]
-    return [tuple(last if s is None else s for s in slots) for slots, _ in out]
+    """The distinct permutations of x, increasing: next-permutation steps from sorted(x)."""
+    a = sorted(x)
+    out = [tuple(a)]
+    while True:
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+        out.append(tuple(a))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tensornorm import cli
@@ -212,6 +213,34 @@ class TestOutOfRange:
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: result out of range\n")
+
+
+class TestRejectedInputText:
+    """A ValueError from any command prints only `error: <message>` and exits 2."""
+
+    @pytest.mark.parametrize("argv, err", [
+        (["euclid2", "--what", "points", "--kind", "pip", "--resolution", "2"],
+         "error: resolution must be at least 4\n"),
+        (["extend-bounds", "--n", "3", "--m", "4", "--N", "4"],
+         "error: need N >= n >= m >= 1\n"),
+        (["represent", "--input", "{law}"], "error: input:1:1: Expecting value\n"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_exact_text(self, argv, err, tmp_path, capsys):
+        law = tmp_path / "law.json"
+        law.write_text("not json")
+        assert cli.main([a.format(law=law) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
+
+    def test_library_value_error_in_any_command(self, monkeypatch, capsys):
+        # kappa has no handler of its own; numpy's LinAlgError is a ValueError
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli.norm_solver, "kappa", singular)
+        assert cli.main(["kappa", "--n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: Singular matrix\n")
 
 
 class TestNegativeNumbers:

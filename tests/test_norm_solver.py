@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 
 from tensornorm import lp_engine
-from tensornorm._colgen import SolverOptions, run_column_generation
+from tensornorm._colgen import PRUNE_TOL, SolverOptions, run_column_generation
+from tensornorm.euclid2 import _ArcPowerFamily
 from tensornorm.norm_solver import (SpaceDescriptor, _OrbitPowerFamily, _PowerFamily,
+                                    _arrangements,
                                     _monomials, _simplex_lattice, cssp_l1, kappa, l1, l2dim2,
                                     norm_pi, norm_pip, norm_pis, norm_pisp,
                                     norm_pisp_invariant, polarization_constants)
@@ -312,6 +315,48 @@ class TestInfeasibleMaster:
         assert nb.gap() <= 1e-7
 
 
+class _NearSeedArcFamily(_ArcPowerFamily):
+    """Prices a violated column 4e-13 from the seed angle 0."""
+
+    def oracle(self, y):
+        return 0.0 + 4e-13, 2.0, []
+
+
+class _NearSeedPowerFamily(_SingleSeedFamily):
+    """Prices a violated column 4e-13 from the seed (1, 0)."""
+
+    def oracle(self, y):
+        return (1.0 - 4e-13, 4e-13), 2.0, []
+
+
+class _KeptWeightsFamily(_PowerFamily):
+    """Records the (parameter, weight) pairs the witness is built from."""
+
+    def primal(self, kept):
+        self.kept = kept
+        return super().primal(kept)
+
+
+class TestColumnIdentity:
+    """run_column_generation keys every parameter to 12 decimals and prunes the weights."""
+
+    @pytest.mark.parametrize("family", [_NearSeedArcFamily(0.0, math.pi / 2),
+                                        _NearSeedPowerFamily(2, 4, signed=False)],
+                             ids=["angle", "tuple"])
+    def test_parameter_within_12_decimals_is_no_new_column(self, family):
+        target = family.column(family.seeds()[0])
+        nb = run_column_generation(target, family)
+        assert nb.iterations == 1 and not nb.converged
+        assert nb.upper == pytest.approx(1.0, abs=1e-12)
+
+    def test_primal_gets_only_weights_above_prune_tol(self):
+        fam = _KeptWeightsFamily(2, 4, signed=False)
+        nb = run_column_generation(mu_binary(4, 2).tensor.vector(), fam)
+        assert nb.converged and fam.kept
+        assert all(type(w) is float and abs(w) > PRUNE_TOL for _, w in fam.kept)
+        assert len(nb.primal.terms) == len(fam.kept)
+
+
 def test_iteration_limit_master_is_not_converged(monkeypatch):
     solve = lp_engine.solve_min_tv
 
@@ -365,6 +410,13 @@ def _wedge_basis(n):
 
 class TestOrbitFamily:
     """The orbit-reduced master: one row per partition, half-degree pricing."""
+
+    @pytest.mark.parametrize("length", range(1, 8))
+    def test_arrangements_are_the_sorted_distinct_permutations(self, length):
+        rng = random.Random(f"arrangements:{length}")
+        for _ in range(20):
+            x = tuple(rng.choice((0.0, 0.0, 0.125, 0.25, 0.5)) for _ in range(length))
+            assert _arrangements(x) == sorted(set(itertools.permutations(x)))
 
     def test_rows_are_partitions(self):
         assert [len(_OrbitPowerFamily(n, n).parts) for n in (3, 4, 5)] == [3, 5, 7]

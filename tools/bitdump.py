@@ -17,7 +17,7 @@ compute the same bits exactly when their dumps are equal byte for byte:
 
 One checkout takes about 2.5 minutes on 2 cores.
 
-With ``--cli`` it runs a fixed battery of command lines through
+With ``--cli`` it runs a fixed battery of 115 command lines through
 ``tensornorm.cli.main`` instead (every subcommand in every ``--format``,
 rational ``psi``, runs that exit 3, ``--output``, negative numbers,
 permutation-invariant solves off the benchmark pools, count classes on m
@@ -26,7 +26,7 @@ command's exit code and stdout, the file ``--output`` wrote, and stderr
 where the exit code is 0 or 3; the wording of a rejection on stderr is not
 recorded.  An uncaught exception is recorded as exit 1, the code the
 process would exit with.  It touches nothing but ``cli.main``, so any two
-checkouts compare with one ``cmp``, in about 6 seconds each on 2 cores,
+checkouts compare with one ``cmp``, in about 5 seconds each on 2 cores,
 most of it ``extend-bounds --n 3 --m 3 --N 3..6 --exact`` (checkouts that solve the
 permutation-invariant commands over the full l1^N master, without orbit
 reduction, take far longer).
@@ -168,6 +168,7 @@ CLI_ONCE = [
     ["kappa", "--n", "5"],
     ["extend-bounds", "--n", "4", "--N", "4..8", "--exact"],
     ["extend-bounds", "--n", "3", "--N", "3..20", "--exact"],
+    ["extend-bounds", "--n", "5", "--N", "8", "--exact"],   # orbit witness expansion
     # count classes on m states, and the power-ratio constant at order 8
     ["extend-bounds", "--n", "4", "--m", "2", "--N", "4..8", "--exact"],
     ["extend-bounds", "--n", "3", "--m", "3", "--N", "3..6", "--exact"],
@@ -187,9 +188,11 @@ CLI_ONCE = [
     ["constants", "--n", "0"],
     ["constants", "--space", "l2", "--n", "0"],
     ["chi", "--n", "3", "--N", "2"],
+    ["extend-bounds", "--n", "3", "--m", "4", "--N", "4"],
     ["extend-bounds", "--n", "2", "--N", "5..3"],
     ["extend-bounds", "--n", "2", "--N", "5.."],
     ["extend-bounds", "--n", "2", "--N", "x"],
+    ["euclid2", "--what", "points", "--kind", "pip", "--resolution", "2"],
     ["euclid2", "--what", "halfcircle"],
     ["euclid2", "--what", "halfcircle", "--matrix", "1,2"],
     ["euclid2", "--what", "halfcircle", "--matrix", "nan,0,0"],
