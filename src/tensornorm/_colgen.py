@@ -23,9 +23,9 @@ pricing violation and the implied bracket gap are both below tolerance
 (``converged`` is True only if that master LP ended optimal), when the
 oracle adds no new column, or after ``max_rounds`` rounds (``converged``
 is then False and the last bracket is returned).  A master LP that stops
-at its iteration limit before it finds a feasible point, or whose basis
-turns singular, ends the solve with the bracket [0, inf], as an
-infeasible one does.
+at its iteration limit before it finds a feasible point, turns singular,
+or costs 0 for a non-zero target (one below its absolute feasibility
+tolerance) ends the solve with the bracket [0, inf], as an infeasible one.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def run_column_generation(target, family, opts: SolverOptions | None = None) -> 
         if not added:
             break  # dual-degenerate stall: maximiser already priced in
 
-    if sol is None or sol.objective == math.inf:
+    if sol is None or sol.objective == math.inf or (sol.objective == 0.0 and target.any()):
         return NormBounds(0.0, math.inf, None, None, rounds, False, None)
 
     upper = sol.objective

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb, factorial
 
@@ -136,14 +136,16 @@ def mu_binary(n: int, j: int) -> ExchangeableDistribution:
                                     SymmetricTensor(2, n, {idx: 1.0 / comb(n, j)}))
 
 
+def _one_draw(n: int, N: int) -> float:
+    """1 / (N)_n, divided out one factor at a time: one ordered draw of n of N states."""
+    return reduce(lambda value, k: value / k, range(N, N - n, -1), 1.0)
+
+
 def chi_nN(n: int, N: int) -> ExchangeableDistribution:
     """n draws without replacement from N equally likely states."""
     if not 1 <= n <= N:
         raise ValueError("need 1 <= n <= N")
-    value = 1.0
-    for k in range(n):
-        value /= (N - k)
-    entries = dict.fromkeys(combinations(range(N), n), value)
+    entries = dict.fromkeys(combinations(range(N), n), _one_draw(n, N))
     return ExchangeableDistribution(tuple(range(N)), n, SymmetricTensor(N, n, entries))
 
 
@@ -263,9 +265,11 @@ def kappa_nN_bounds(n: int, N: int, exact: bool = False,
 
     upper: 1 + [n(n-1) / (2N - n(n-1))] (K + 1) with K the sharpened order-n
     upper bound, capped by K itself (monotone in N); lower:
-    exp((n-1) / (2 ceil(N/n))).  exact=True additionally solves the
-    without-replacement law over l1^N with ``norm_pisp_invariant``, one row
-    per partition of n with at most N parts; its pricing is exact for n <= 5.
+    exp((n-1) / (2 ceil(N/n))).  exact=True also solves the without-replacement
+    law over l1^N with ``norm_pisp_invariant`` (a row per partition of n, pricing
+    exact for n <= 5): lp_value has one primal term per orbit, the orbit average
+    of x^(tensor n), and one dual entry per partition, and is [0, inf] once
+    1/(N)_n nears 1e-9 (from chi_5,62).
     """
     if not 1 <= n <= N:
         raise ValueError("need 1 <= n <= N")
@@ -278,7 +282,7 @@ def kappa_nN_bounds(n: int, N: int, exact: bool = False,
     lower = math.exp((n - 1) / (2 * math.ceil(N / n)))
     lp_value = None
     if exact:
-        lp_value = norm_solver.norm_pisp_invariant(chi_nN(n, N).tensor, opts)
+        lp_value = norm_solver.norm_pisp_invariant(N, n, {(1,) * n: _one_draw(n, N)}, opts)
     return ExtendibilityBounds(n, N, None, lower, upper, lp_value)
 
 

@@ -29,8 +29,7 @@ import numpy as np
 from . import euclid2
 from ._colgen import PRICING_TOL, NormBounds, SolverOptions, run_column_generation
 from .chebyshev import psi
-from .tensor_core import (SignedPowerCombination, SymmetricTensor, multi_indices,
-                          multiplicity, wedge)
+from .tensor_core import SignedPowerCombination, SymmetricTensor, multi_indices, multiplicity
 
 
 @dataclass(frozen=True)
@@ -397,16 +396,7 @@ class _OrbitPowerFamily:
     def __init__(self, dim: int, n: int):
         self.dim = dim
         self.n = n
-        # a multi-index's type, the partition of n into its multiplicities, is set by
-        # where its entries step up; the rows are these partitions, largest first
-        idx = multi_indices(dim, n)
-        steps = [tuple(map(int.__ne__, i, i[1:])) for i in idx]
-        kind = {s: tuple(sorted(Counter(i).values(), reverse=True))
-                for s, i in dict(zip(steps, idx)).items()}
-        self.parts = sorted(set(kind.values()), reverse=True)
-        row = {s: self.parts.index(k) for s, k in kind.items()}
-        self.types = np.asarray([row[s] for s in steps])
-        self.sizes = np.bincount(self.types)
+        self.parts, self.sizes = _orbit_rows(dim, n)
         self._tables: dict = {}   # blocks -> (column table over the parts, exponent counts)
         # barycentres of k coordinates, k = 1..dim, as columns over the parts
         self.barycentres = [tuple([1.0 / k] * k + [0.0] * (dim - k)) for k in range(1, dim + 1)]
@@ -420,19 +410,6 @@ class _OrbitPowerFamily:
                 table, counts = self._table(blocks)
                 scale = np.prod(np.asarray(blocks, dtype=float) ** -counts, axis=1)
                 self._pricing.append((blocks, inner, table * scale))
-
-    def reduce(self, t: SymmetricTensor) -> np.ndarray:
-        """The target at the first multi-index of each type; ValueError unless
-        every entry equals its type's value to 1e-12 of the largest |entry|."""
-        vec = np.asarray(t.vector())
-        rows = vec[np.unique(self.types, return_index=True)[1]]
-        if np.abs(vec - rows[self.types]).max() > 1e-12 * np.abs(vec).max():
-            raise ValueError("the target is not invariant under permutations of the coordinates")
-        return rows
-
-    def expand_dual(self, y) -> list[float]:
-        """The full dual y_alpha = y_lambda(alpha) / #{alpha of type lambda}."""
-        return (np.asarray(y) / self.sizes)[self.types].tolist()
 
     # -- column interface ---------------------------------------------------
     def _table(self, blocks: tuple):
@@ -451,12 +428,7 @@ class _OrbitPowerFamily:
         return table @ _monomials(values, counts)
 
     def primal(self, kept):
-        terms = []
-        for x, w in kept:
-            orbit = _arrangements(x)
-            terms.extend((w / len(orbit), p) for p in orbit)
-        terms.sort(key=lambda t: t[1])
-        return SignedPowerCombination(self.dim, self.n, tuple(terms)), None
+        return SignedPowerCombination(self.dim, self.n, tuple((w, x) for x, w in kept)), None
 
     def seeds(self) -> list:
         return list(self.barycentres)
@@ -475,6 +447,14 @@ class _OrbitPowerFamily:
         best_v, best_x = found[0]
         extras = [x for v, x in found[1:5] if v > 1.0 + PRICING_TOL]
         return best_x, best_v, extras
+
+
+def _orbit_rows(dim: int, n: int) -> tuple[list, np.ndarray]:
+    """The partitions of n into at most dim parts, largest first, and the number of
+    multi-indices of each type: the one-block table, dim! / ((dim - l)! prod_j m_j!)."""
+    rows = _compositions(min(n, dim), n).tolist()
+    parts = sorted({tuple(sorted(filter(None, row), reverse=True)) for row in rows}, reverse=True)
+    return parts, _block_table(parts, (dim,), np.asarray([[n]]))[:, 0]
 
 
 def _block_patterns(r: int, dim: int) -> list[tuple[int, ...]]:
@@ -501,6 +481,19 @@ def _arrangements(x: tuple) -> list[tuple]:
         a[i], a[j] = a[j], a[i]
         a[i + 1:] = reversed(a[i + 1:])
         out.append(tuple(a))
+
+
+def _full_shape(nb: NormBounds, dim: int, n: int) -> NormBounds:
+    """``norm_pisp_invariant``'s result over l1^dim in ``norm_pisp``'s shape: each orbit
+    point's distinct permutations share its weight, each row's dual its multi-indices."""
+    if nb.primal is None:   # a failed master's [0, inf]
+        return nb
+    orbits = [(w, _arrangements(x)) for w, x in nb.primal.terms]
+    terms = sorted(((w / len(o), p) for w, o in orbits for p in o), key=lambda t: t[1])
+    parts, sizes = _orbit_rows(dim, n)
+    row = dict(zip(parts, (np.asarray(nb.dual) / sizes).tolist()))
+    dual = [row[tuple(sorted(Counter(i).values(), reverse=True))] for i in multi_indices(dim, n)]
+    return replace(nb, primal=SignedPowerCombination(dim, n, tuple(terms)), dual=dual)
 
 
 # ---------------------------------------------------------------------------
@@ -554,22 +547,21 @@ def norm_pis(t: SymmetricTensor, space: SpaceDescriptor,
     return run_column_generation(t.vector(), fam, opts)
 
 
-def norm_pisp_invariant(t: SymmetricTensor, opts: SolverOptions | None = None) -> NormBounds:
-    """norm_pisp over l1^m for a target invariant under every permutation of the coordinates.
+def norm_pisp_invariant(dim: int, n: int, target: dict,
+                        opts: SolverOptions | None = None) -> NormBounds:
+    """norm_pisp over l1^dim of an order-n target invariant under every permutation of
+    the coordinates, given as {partition of n, largest part first: its types' entry}.
 
-    Runs the master LP on orbit sums, one row per partition of the order,
-    and prices by the half-degree principle (see ``_OrbitPowerFamily``).  It
-    raises ValueError unless the target is invariant to 1e-12 relative.
-    The result has the shape of ``norm_pisp``'s: the primal lists every
-    distinct permutation of each orbit point with its share of the weight,
-    and the dual spreads each row's value evenly over the multi-indices of
-    its type.  Pricing is exact up to order 5 and grid + polish from order 6.
+    A partition left out is 0; a key that is not a partition of n into at most dim parts
+    raises ValueError.  One master row per partition, half-degree pricing (exact up to
+    order 5, see ``_OrbitPowerFamily``).  The result is reduced: a primal term (w, x) is
+    w times the orbit average of x^(tensor n), and the dual has one entry per partition.
     """
-    fam = _OrbitPowerFamily(t.dim, t.order)
-    nb = run_column_generation(fam.reduce(t), fam, opts)
-    if nb.dual is not None:
-        nb.dual = fam.expand_dual(nb.dual)
-    return nb
+    fam = _OrbitPowerFamily(dim, n)
+    bad = [lam for lam in target if lam not in fam.parts]
+    if bad:
+        raise ValueError(f"target key {bad[0]!r}: not a partition of {n} into at most {dim} parts")
+    return run_column_generation([target.get(lam, 0.0) for lam in fam.parts], fam, opts)
 
 
 def norm_pip(t: SymmetricTensor, space: SpaceDescriptor,
@@ -581,10 +573,13 @@ def norm_pip(t: SymmetricTensor, space: SpaceDescriptor,
     return euclid2.positive_wedge_lp(_to_matrix(t), opts)
 
 
+def _basis_wedge(n: int) -> dict:   # e_1 v ... v e_n on its types, in wedge's bits
+    return {(1,) * n: math.prod(1.0 / k for k in range(1, n + 1))}
+
+
 @lru_cache(maxsize=32)
 def _kappa_cached(n: int, opts: SolverOptions) -> NormBounds:
-    basis = [tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n)]
-    nb = norm_pisp_invariant(wedge(basis), opts)
+    nb = _full_shape(norm_pisp_invariant(n, n, _basis_wedge(n), opts), n, n)
     if nb.converged:
         from .exchangeable import uv_bound
         cs_lower = n ** n / math.factorial(n)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tensornorm import norm_solver
 from tensornorm._colgen import SolverOptions
 from tensornorm.exchangeable import (_master_decomposition, chi_nN, iid, kappa_bounds,
                                      kappa_nN_bounds, kappa_nNm_bounds, load_distribution,
@@ -298,6 +299,21 @@ class TestExtendibilityBounds:
         for N, value in [(2, 3.0), (3, 2.0), (4, 5 / 3), (5, 1.5)]:
             assert kappa_nN_bounds(2, N, exact=True).lp_value.contains(value, 1e-9)
         assert kappa_nN_bounds(4, 5, exact=True).lp_value.contains(14.75, 1e-9)
+
+    @pytest.mark.parametrize("n,N", [(1, 1), (2, 5), (3, 7), (5, 12), (6, 9)])
+    def test_exact_solve_reads_chi_on_its_types(self, n, N, monkeypatch):
+        seen = []
+        monkeypatch.setattr(norm_solver, "norm_pisp_invariant", lambda *args: seen.append(args))
+        kappa_nN_bounds(n, N, exact=True)
+        [(dim, order, target, _)] = seen
+        assert (dim, order, list(target)) == (N, n, [(1,) * n])
+        assert set(chi_nN(n, N).tensor.entries.values()) == {target[(1,) * n]}
+
+    def test_no_converged_zero_below_the_feasibility_tolerance(self):
+        # 1/(70)_5 < 1e-9: phase 1 accepts the all-artificial basis, objective 0
+        nb = kappa_nN_bounds(5, 70, exact=True).lp_value
+        assert not nb.converged
+        assert (nb.lower, nb.upper) == (0.0, math.inf)
 
     def test_m_variant_formulas(self):
         eb = kappa_nNm_bounds(2, 4, 2)

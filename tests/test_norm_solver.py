@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from tensornorm import lp_engine
-from tensornorm._colgen import PRUNE_TOL, SolverOptions, run_column_generation
+from tensornorm._colgen import NormBounds, PRUNE_TOL, SolverOptions, run_column_generation
 from tensornorm.euclid2 import _ArcPowerFamily
 from tensornorm.norm_solver import (SpaceDescriptor, _OrbitPowerFamily, _PowerFamily,
-                                    _arrangements,
+                                    _arrangements, _basis_wedge, _full_shape,
                                     _monomials, _simplex_lattice, cssp_l1, kappa, l1, l2dim2,
                                     norm_pi, norm_pip, norm_pis, norm_pisp,
                                     norm_pisp_invariant, polarization_constants)
 from tensornorm.chebyshev import psi
 from tensornorm.exchangeable import chi_nN, load_distribution, mu_binary, uv_bound
-from tensornorm.tensor_core import (SymmetricTensor, multi_indices, power,
+from tensornorm.tensor_core import (SignedPowerCombination, SymmetricTensor, multi_indices, power,
                                     tensor_pushforward, wedge)
 
 E_WEDGE = wedge([(1.0, 0.0), (0.0, 1.0)])
@@ -408,6 +408,11 @@ def _wedge_basis(n):
     return wedge([tuple(float(j == i) for j in range(n)) for i in range(n)])
 
 
+def _all_distinct(t):
+    # the reduced target of a tensor whose only non-zero type is n distinct indices
+    return {(1,) * t.order: t.entries[tuple(range(t.order))]}
+
+
 class TestOrbitFamily:
     """The orbit-reduced master: one row per partition, half-degree pricing."""
 
@@ -464,50 +469,54 @@ class TestOrbitFamily:
         lower = float(np.asarray(_wedge_basis(n).vector()) @ np.asarray(nb.dual))
         assert lower == pytest.approx(nb.lower, rel=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_kappa_target_is_the_wedge_entry(self, n):
+        assert _basis_wedge(n) == _all_distinct(_wedge_basis(n))
+
     def test_three_block_pricing_from_order_six(self):
         # n = 6 prices three-block patterns by grid + polish; two rounds keep
         # the polarization decomposition as the upper end
-        nb = norm_pisp_invariant(_wedge_basis(6), SolverOptions(max_rounds=2))
+        nb = norm_pisp_invariant(6, 6, _all_distinct(_wedge_basis(6)), SolverOptions(max_rounds=2))
+        nb = _full_shape(nb, 6, 6)
         assert nb.iterations == 2 and not nb.converged
         assert nb.upper == pytest.approx(_polarization_cost(6), rel=1e-12)
         assert 0.0 < nb.lower <= nb.upper
         tv = math.fsum(abs(w) for w, _ in nb.primal.terms)
         assert nb.primal.evaluate().residual_inf(_wedge_basis(6)) <= 1e-12 * tv
 
-    def test_rejects_a_target_that_is_not_invariant(self):
-        # (0, 0) and (1, 1) share a type but hold 0.04 and 0.64: the norm is 1
-        with pytest.raises(ValueError, match="invariant"):
-            norm_pisp_invariant(power((0.2, 0.8), 2))
-        entries = dict(chi_nN(3, 4).tensor.entries)
-        entries[(1, 2, 3)] *= 1.0 + 1e-9
-        with pytest.raises(ValueError, match="invariant"):
-            norm_pisp_invariant(SymmetricTensor(4, 3, entries))
-
-    def test_accepts_rounding_noise(self):
-        t = chi_nN(3, 4).tensor
-        entries = dict(t.entries)
-        entries[(1, 2, 3)] *= 1.0 + 1e-13
-        noisy = norm_pisp_invariant(SymmetricTensor(4, 3, entries))
-        assert noisy.upper == pytest.approx(norm_pisp_invariant(t).upper, rel=1e-9)
+    def test_rejects_a_key_that_is_not_a_partition(self):
+        # n = 3 over l1^2: (3,) and (2, 1) are the rows
+        assert norm_pisp_invariant(2, 3, {(2, 1): 0.25}).converged
+        for key in [(1, 2), (2, 2), (1, 1, 1), (3, 0), (2, 1, 0), 3]:
+            with pytest.raises(ValueError, match="not a partition of 3 into at most 2 parts"):
+                norm_pisp_invariant(2, 3, {(2, 1): 0.25, key: 0.0})
 
     @pytest.mark.parametrize("dim,n", [(1, 1), (4, 1), (3, 2), (2, 5), (5, 3), (4, 4)])
     def test_types_index_the_partitions(self, dim, n):
+        # closed-form rows and sizes against the types of the multi-indices
         fam = _OrbitPowerFamily(dim, n)
-        idx = multi_indices(dim, n)
-        types = [tuple(sorted((i.count(c) for c in set(i)), reverse=True)) for i in idx]
-        assert [fam.parts[k] for k in fam.types] == types
+        types = [tuple(sorted((i.count(c) for c in set(i)), reverse=True))
+                 for i in multi_indices(dim, n)]
+        assert fam.parts == sorted(set(types), reverse=True)
         assert fam.sizes.tolist() == [types.count(lam) for lam in fam.parts]
-        rng = random.Random(f"orbit-types:{dim}:{n}")
-        value = {lam: rng.uniform(-1, 1) for lam in fam.parts}
-        t = SymmetricTensor(dim, n, {i: value[lam] for i, lam in zip(idx, types)})
-        assert fam.reduce(t).tolist() == [value[lam] for lam in fam.parts]
 
     @pytest.mark.parametrize("n,N", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4)])
     def test_overlaps_the_plain_solve(self, n, N):
         t = chi_nN(n, N).tensor
-        orbit, plain = norm_pisp_invariant(t), norm_pisp(t, l1(N))
+        orbit, plain = norm_pisp_invariant(N, n, _all_distinct(t)), norm_pisp(t, l1(N))
         widen = 1e-7 * max(1.0, orbit.upper)
         assert orbit.lower <= plain.upper + widen and plain.lower <= orbit.upper + widen
+
+    @pytest.mark.parametrize("n,N", [(2, 5), (3, 6), (4, 7)])
+    def test_expanded_witness_reconstructs_chi(self, n, N):
+        t = chi_nN(n, N).tensor
+        nb = norm_pisp_invariant(N, n, _all_distinct(t))
+        full = _full_shape(nb, N, n).primal
+        assert len(nb.primal.terms) < len(full.terms)
+        tv = math.fsum(abs(w) for w, _ in nb.primal.terms)
+        assert tv == pytest.approx(nb.upper, rel=1e-12)
+        residual = full.evaluate().residual_inf(t)
+        assert residual <= 1e-12 * max(abs(v) for v in t.entries.values())
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_half_degree_maximum_matches_the_simplex(self, n):
@@ -517,5 +526,7 @@ class TestOrbitFamily:
         for _ in range(20):
             y = [rng.uniform(-1, 1) for _ in fam.parts]
             _, half, _ = fam.oracle(y)
-            _, whole, _ = full.oracle(fam.expand_dual(y))
+            reduced = NormBounds(0.0, 0.0, SignedPowerCombination(n, n, ()), y, 0, False)
+            dual = _full_shape(reduced, n, n).dual
+            _, whole, _ = full.oracle(dual)
             assert half >= whole - 1e-12

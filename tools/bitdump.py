@@ -17,19 +17,21 @@ compute the same bits exactly when their dumps are equal byte for byte:
 
 One checkout takes about 2.5 minutes on 2 cores.
 
-With ``--cli`` it runs a fixed battery of 115 command lines through
+With ``--cli`` it runs a fixed battery of 117 command lines through
 ``tensornorm.cli.main`` instead (every subcommand in every ``--format``,
 rational ``psi``, runs that exit 3, ``--output``, negative numbers,
-permutation-invariant solves off the benchmark pools, count classes on m
-states, the order-8 constants and rejected input).  It records each
-command's exit code and stdout, the file ``--output`` wrote, and stderr
-where the exit code is 0 or 3; the wording of a rejection on stderr is not
-recorded.  An uncaught exception is recorded as exit 1, the code the
+permutation-invariant solves off the benchmark pools (up to chi_4,48 on
+l1^48), count classes on m states, the order-8 constants and rejected
+input).  It records each command's exit code and stdout, the file
+``--output`` wrote, and stderr where the exit code is 0 or 3; the wording
+of a rejection on stderr is not recorded.  An uncaught exception is recorded as exit 1, the code the
 process would exit with.  It touches nothing but ``cli.main``, so any two
-checkouts compare with one ``cmp``, in about 5 seconds each on 2 cores,
-most of it ``extend-bounds --n 3 --m 3 --N 3..6 --exact`` (checkouts that solve the
+checkouts compare with one ``cmp``, in about 6 seconds each on 2 cores,
+most of it ``extend-bounds --n 3 --m 3 --N 3..6 --exact``.  Checkouts that
+expand the orbit results to the full shape take about 11 seconds, most of it
+``extend-bounds --n 4 --N 48 --exact``; those that solve the
 permutation-invariant commands over the full l1^N master, without orbit
-reduction, take far longer).
+reduction, take far longer.
 
 With ``--diff`` it compares two dumps of either kind.  For each workload
 (``cli`` for a battery) it prints how many entries differ, and for each
@@ -168,7 +170,9 @@ CLI_ONCE = [
     ["kappa", "--n", "5"],
     ["extend-bounds", "--n", "4", "--N", "4..8", "--exact"],
     ["extend-bounds", "--n", "3", "--N", "3..20", "--exact"],
-    ["extend-bounds", "--n", "5", "--N", "8", "--exact"],   # orbit witness expansion
+    ["extend-bounds", "--n", "5", "--N", "8", "--exact"],
+    ["extend-bounds", "--n", "3", "--N", "96", "--exact"],   # large N on the orbit master
+    ["extend-bounds", "--n", "4", "--N", "48", "--exact"],
     # count classes on m states, and the power-ratio constant at order 8
     ["extend-bounds", "--n", "4", "--m", "2", "--N", "4..8", "--exact"],
     ["extend-bounds", "--n", "3", "--m", "3", "--N", "3..6", "--exact"],
