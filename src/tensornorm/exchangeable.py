@@ -335,7 +335,8 @@ def kappa_nNm_bounds(n: int, N: int, m: int, exact: bool = False,
 def partition_log_slack(parts, t: float) -> float:
     """Slack of the partition log-inequality used in the extendibility lower bound.
 
-    For positive integer parts n_1..n_m summing to n and t in [0, 1):
+    For positive integer parts n_1..n_m summing to n and t in [0, 1), or t in
+    [0, 1] when every part is 1:
 
         sum_k sum_{i<n_k} log(1 - t i / n_k) - sum_{i<n} log(1 - t i / n)
             - (m - 1) t / 2
@@ -348,7 +349,7 @@ def partition_log_slack(parts, t: float) -> float:
     n = sum(parts)
     m = len(parts)
     if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1)")
+        raise ValueError("t must lie in [0, 1], and below 1 when any part exceeds 1")
     if t == 1.0 and any(p >= 2 for p in parts):
         raise ValueError("t = 1 is rejected when any part exceeds 1")
     first = math.fsum(math.log1p(-t * i / p) for p in parts for i in range(p))

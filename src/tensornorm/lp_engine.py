@@ -38,6 +38,7 @@ class _Tableau:
 
     def __init__(self, A, b):
         self.A = A
+        self.AT = np.ascontiguousarray(A.T)   # entering columns as contiguous rows
         self.b = b
         d = A.shape[0]
         self.basis = np.arange(A.shape[1] - d, A.shape[1])  # artificials
@@ -55,12 +56,13 @@ class _Tableau:
         """Enter column j at ``row``; u is binv @ A[:, j]."""
         self.binv[row] /= u[row]
         # rank-1 update; rows with u == 0 are skipped so their zeros keep sign
-        rows = u.nonzero()[0]
-        rows = rows[rows != row]
-        self.binv[rows] -= u[rows, None] * self.binv[row]
+        update = u != 0
+        update[row] = False
+        np.subtract(self.binv, u[:, None] * self.binv[row], out=self.binv, where=update[:, None])
         self.basis[row] = j
         self.xb = self.binv @ self.b
-        self.xb[(self.xb < 0) & (self.xb > -1e-9)] = 0.0
+        if not self.xb.min() >= 0:   # a nan minimum clamps too
+            self.xb[(self.xb < 0) & (self.xb > -1e-9)] = 0.0
         self.pivots += 1
         if self.pivots % _REFACTOR_EVERY == 0:
             self.refactor()
@@ -68,58 +70,73 @@ class _Tableau:
 
 def _run_phase(tab: _Tableau, costs, is_artificial, max_iters, bland_after):
     """Iterate to optimality of the given cost vector.  Returns (status, iters)."""
-    d = len(tab.xb)
+    # the costs, +inf on columns that may not enter: artificial, basic, blocked
+    enterable = np.where(is_artificial, np.inf, costs)
+    pen = enterable.copy()
+    pen[tab.basis] = np.inf
+    basic_costs = costs[tab.basis]
+    art_basic = is_artificial[tab.basis]
+    n_art_basic = int(np.count_nonzero(art_basic))
+    no_ratio = np.full(len(tab.xb), np.inf)
     iters = 0
     degenerate = 0
     bland = False
-    blocked: set[int] = set()  # columns whose pivots were numerically unusable
+    blocked: list[int] = []  # columns whose pivots were numerically unusable
     while iters < max_iters:
-        y = tab.binv.T @ costs[tab.basis]
-        reduced = costs - y @ tab.A
-        mask = ~is_artificial
-        mask[tab.basis] = False
-        for bj in blocked:
-            mask[bj] = False
-        candidates = (mask & (reduced < -REDUCED_COST_TOL)).nonzero()[0]
-        if candidates.size == 0:
-            return "optimal", iters
+        y = tab.binv.T @ basic_costs
+        reduced = pen - y @ tab.A
         if bland:
-            j = int(candidates[0])
+            j = int((reduced < -REDUCED_COST_TOL).argmax())
         else:
-            j = int(candidates[reduced[candidates].argmin()])
-        u = tab.binv @ tab.A[:, j]
-        art_rows = (is_artificial[tab.basis] & (np.abs(u) > _PIVOT_TOL)
-                    & (tab.xb <= 1e-10)).nonzero()[0]
-        if art_rows.size:
+            j = int(reduced.argmin())
+        if not reduced[j] < -REDUCED_COST_TOL:
+            return "optimal", iters
+        u = tab.binv @ tab.AT[j]
+        art_rows = ()
+        if n_art_basic:
+            zero_art = art_basic & (tab.xb <= 1e-10)
+            if np.count_nonzero(zero_art):
+                art_rows = (zero_art & (np.abs(u) > _PIVOT_TOL)).nonzero()[0]
+        if len(art_rows):
             # a zero-valued artificial touched by the entering column must leave
             row = int(art_rows[0])
             theta = 0.0
         else:
             pos = u > _PIVOT_TOL
-            if not pos.any():
+            ratios = np.divide(tab.xb, u, out=no_ratio.copy(), where=pos)
+            row = int(ratios.argmin())
+            theta = float(ratios[row])
+            if theta == math.inf and not np.count_nonzero(pos):
                 raise RuntimeError("unbounded simplex direction in a bounded program")
-            ratios = np.divide(tab.xb, u, out=np.full(d, np.inf), where=pos)
-            theta = float(ratios.min())
             ties = (ratios <= theta + 1e-12).nonzero()[0]
-            art_ties = ties[is_artificial[tab.basis[ties]]]
-            if art_ties.size:
-                row = int(art_ties[0])
-            elif bland:
-                row = int(ties[tab.basis[ties].argmin()])
-            else:
-                row = int(ties[np.abs(u[ties]).argmax()])
+            if len(ties) != 1:   # several rows tie, or none (theta nan: the tie rule raises)
+                art_ties = ties[art_basic[ties]]
+                if len(art_ties):
+                    row = int(art_ties[0])
+                elif bland:
+                    row = int(ties[tab.basis[ties].argmin()])
+                else:
+                    row = int(ties[np.abs(u[ties]).argmax()])
         if abs(u[row]) < 1e-9:
             # pivot too small to be trustworthy: rebuild the inverse and
             # set the column aside until the basis changes
             tab.refactor()
-            blocked.add(j)
+            blocked.append(j)
+            pen[j] = np.inf
             iters += 1
             continue
         if theta <= 1e-12:
             degenerate += 1
             if degenerate > bland_after:
                 bland = True
+        leaving = tab.basis[row]
         tab.pivot(j, row, u)
+        pen[j], pen[leaving] = np.inf, enterable[leaving]
+        basic_costs[row] = costs[j]
+        n_art_basic -= bool(art_basic[row])
+        art_basic[row] = False
+        for bj in blocked:
+            pen[bj] = enterable[bj]
         blocked.clear()
         iters += 1
     return "iteration-limit", iters

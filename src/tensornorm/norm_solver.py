@@ -126,6 +126,13 @@ def _signed_binomials(k: int) -> np.ndarray:
     return np.asarray([(-1) ** j * comb(k, j) for j in range(k + 1)], dtype=float)
 
 
+@lru_cache(maxsize=64)
+def _unit_grid(intervals: int) -> np.ndarray:
+    grid = np.linspace(0.0, 1.0, intervals + 1)
+    grid.flags.writeable = False   # one array serves every caller
+    return grid
+
+
 def _roots_unit_interval(coef: np.ndarray) -> list[float]:
     """Real roots in [0, 1]: sign changes on a 64*deg grid, then at most 80 bisection steps."""
     deg = len(coef) - 1
@@ -134,7 +141,7 @@ def _roots_unit_interval(coef: np.ndarray) -> list[float]:
     if deg <= 0:
         return []
     c = coef[:deg + 1]
-    grid = np.linspace(0.0, 1.0, max(512, 64 * deg) + 1)
+    grid = _unit_grid(max(512, 64 * deg))
     vals = np.polynomial.polynomial.polyval(grid, c)
     a, b = vals[:-1], vals[1:]
     # Horner in plain floats, step for step as numpy's polyval: same bits

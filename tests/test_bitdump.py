@@ -1,9 +1,15 @@
-"""``tools/bitdump.py --diff``: which entries of two dumps differ, and by how much."""
+"""``tools/bitdump.py``: ``--diff`` (which entries of two dumps differ, and by how
+much) and ``--lp`` (the size, status and bits of every master LP)."""
 
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from tensornorm.lp_engine import solve_min_tv
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bitdump.py"
 
@@ -81,3 +87,67 @@ def test_diff_needs_two_dumps(tmp_path):
     done = subprocess.run([sys.executable, str(TOOL), "--diff", str(path)],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2 and done.stdout == ""
+
+
+# one optimal and one infeasible master, each solved by a workload of a
+# hand-made checkout through lp_engine
+MASTERS = {"two_state": ([(1.0, 0.0), (1.0, 1.0), (0.0, -2.0)], (2.0, -1.0)),
+           "simplex": ([(1.0, 1.0)], (1.0, -1.0))}
+FAKE_WORKLOADS = f'''
+from tensornorm import lp_engine
+
+MASTERS = {MASTERS!r}
+
+
+class Slot:
+    key = "master"
+
+
+class Workload:
+    def __init__(self, name, seed, workdir, record):
+        self.name, self.cycle = name, 1
+
+    def write_files(self):
+        pass
+
+    def sweep(self, r):
+        if self.name in MASTERS:
+            yield Slot(), 0, MASTERS[self.name]
+
+
+def call(slot, master):
+    return lp_engine.solve_min_tv(*master)
+'''
+
+
+def test_lp_dump_records_each_master(tmp_path):
+    checkout = tmp_path / "checkout"
+    (checkout / "bench").mkdir(parents=True)
+    (checkout / "src").symlink_to(TOOL.parent.parent / "src")
+    (checkout / "bench" / "workloads.py").write_text(FAKE_WORKLOADS, encoding="utf-8")
+    record = {name: {} for name in ("two_state", "simplex", "symmetric_cli")}
+    (checkout / "bench" / "record.json").write_text(json.dumps(record), encoding="utf-8")
+    out = tmp_path / "lp.json"
+    done = subprocess.run([sys.executable, str(TOOL), "--lp", str(checkout), str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    dump = json.loads(out.read_text(encoding="utf-8"))
+
+    want = {}
+    for key, (cols, target) in MASTERS.items():
+        sol = solve_min_tv(cols, target)
+        digest = hashlib.sha256(sol.weights.tobytes() + sol.dual.tobytes()
+                                + np.float64(sol.objective).tobytes())
+        want[f"{key}/0/master/0/0"] = {"rows": 2, "columns": len(cols), "status": sol.status,
+                                       "iterations": sol.iterations,
+                                       "sha256": digest.hexdigest()}
+    assert dump == want
+    assert [v["status"] for v in dump.values()] == ["infeasible", "optimal"]
+
+    moved = json.loads(json.dumps(dump))
+    moved["two_state/0/master/0/0"]["sha256"] = "0" * 64
+    done = _diff(tmp_path, dump, moved)
+    assert done.returncode == 1
+    assert done.stdout.splitlines() == ["simplex: 0 of 1 entries differ",
+                                        "two_state: 1 of 1 entries differ",
+                                        "  two_state/0/master/0/0: no bracket end moved"]

@@ -363,6 +363,17 @@ class TestPartitionSlack:
         with pytest.raises(ValueError):
             partition_log_slack((2, 1), 1.0)
 
+    def test_t_one_with_every_part_one(self):
+        # log(1 - 0) per part, minus log(1) + log(2/3) + log(1/3), minus 2 * 1/2
+        want = math.log(4.5) - 1.0
+        assert partition_log_slack([1, 1, 1], 1.0) == pytest.approx(want, rel=1e-12)
+        assert partition_log_slack([1], 1.0) == 0.0
+
+    @pytest.mark.parametrize("t", [1.5, -0.25])
+    def test_rejects_t_outside_unit_interval(self, t):
+        with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\], and below 1 when"):
+            partition_log_slack((1, 1), t)
+
     def test_rejects_bad_parts(self):
         with pytest.raises(ValueError):
             partition_log_slack((0, 2), 0.5)

@@ -1,6 +1,7 @@
 """The kernels against the plain loops they replaced, bit for bit.
 
-The m = 2 root isolation and the simplex pivot were rewritten for speed, and
+The m = 2 root isolation and the simplex pivot were rewritten for speed, then
+the simplex selection loop (entering column, ratio test) too, and
 the monomial evaluations of ``_PowerFamily`` (columns, the pricing grid, sign
 factors, the polish value and gradient) were folded into one helper, and the
 polish stopped computing a gradient it discards, all without changing a single
@@ -34,7 +35,7 @@ from tensornorm.lp_engine import solve_min_tv
 from tensornorm.norm_solver import (_PowerFamily, _compositions, _poly_coeffs,
                                     _roots_unit_interval, _simplex_lattice, l1,
                                     norm_pis, norm_pisp)
-from tensornorm.exchangeable import kappa_nNm_bounds, load_distribution
+from tensornorm.exchangeable import iid, kappa_nNm_bounds, load_distribution
 from tensornorm.tensor_core import (SignedPowerCombination, SymmetricTensor, _as_vector,
                                     _canonical_sign, multi_indices, polarization_expand, power)
 
@@ -102,6 +103,62 @@ def ref_pivot(self, j, row, u):
     self.pivots += 1
     if self.pivots % lp_engine._REFACTOR_EVERY == 0:
         self.refactor()
+
+
+def ref_run_phase(tab, costs, is_artificial, max_iters, bland_after):
+    # the selection loop: a candidate mask each iteration, every scan always run
+    d = len(tab.xb)
+    iters = 0
+    degenerate = 0
+    bland = False
+    blocked: set[int] = set()
+    while iters < max_iters:
+        y = tab.binv.T @ costs[tab.basis]
+        reduced = costs - y @ tab.A
+        mask = ~is_artificial
+        mask[tab.basis] = False
+        for bj in blocked:
+            mask[bj] = False
+        candidates = (mask & (reduced < -lp_engine.REDUCED_COST_TOL)).nonzero()[0]
+        if candidates.size == 0:
+            return "optimal", iters
+        if bland:
+            j = int(candidates[0])
+        else:
+            j = int(candidates[reduced[candidates].argmin()])
+        u = tab.binv @ tab.A[:, j]
+        art_rows = (is_artificial[tab.basis] & (np.abs(u) > lp_engine._PIVOT_TOL)
+                    & (tab.xb <= 1e-10)).nonzero()[0]
+        if art_rows.size:
+            row = int(art_rows[0])
+            theta = 0.0
+        else:
+            pos = u > lp_engine._PIVOT_TOL
+            if not pos.any():
+                raise RuntimeError("unbounded simplex direction in a bounded program")
+            ratios = np.divide(tab.xb, u, out=np.full(d, np.inf), where=pos)
+            theta = float(ratios.min())
+            ties = (ratios <= theta + 1e-12).nonzero()[0]
+            art_ties = ties[is_artificial[tab.basis[ties]]]
+            if art_ties.size:
+                row = int(art_ties[0])
+            elif bland:
+                row = int(ties[tab.basis[ties].argmin()])
+            else:
+                row = int(ties[np.abs(u[ties]).argmax()])
+        if abs(u[row]) < 1e-9:
+            tab.refactor()
+            blocked.add(j)
+            iters += 1
+            continue
+        if theta <= 1e-12:
+            degenerate += 1
+            if degenerate > bland_after:
+                bland = True
+        tab.pivot(j, row, u)
+        blocked.clear()
+        iters += 1
+    return "iteration-limit", iters
 
 
 def ref_counts(indices, m):
@@ -744,15 +801,67 @@ def _lp_instances():
         base = [[float(rng.randint(-1, 1)) for _ in range(d)] for _ in range(d + 3)]
         cols = [row[:-1] + row[:1] for row in base + base]
         out.append((cols, [sum(col[i] for col in cols[:3]) for i in range(d)]))
-    return out
+    return out + [TINY_PIVOT, ZERO_ARTIFICIAL_IN_PHASE_2, ARTIFICIAL_TIE, PIVOT_ELEMENT_TIE,
+                  BLAND_TIE]
+
+
+# the first entering column, 0, meets the pivot element 5e-10: it is blocked,
+# column 3 enters, and then column 0 does
+TINY_PIVOT = ([(5e-10, 1.0), (-1.0, 3e-10)], (1e-10, 1e-10))
+# phase 1 ends with the artificials of rows 0 and 3 (columns 6 and 9) basic at
+# level 0, and in phase 2 the entering column 1 takes the place of column 6
+ZERO_ARTIFICIAL_IN_PHASE_2 = ([(0.0, -1.0, 1.0, 2.0), (-1.0, 2.0, 0.0, 1.0),
+                               (0.0, -2.0, -1.0, -2.0)], (0.0, 1.0, 0.0, 0.0))
+# the minimum ratio ties over two rows, and the row that leaves is not the
+# first of them: an artificial (column 5) rather than column 2, and column 0,
+# the larger pivot element, rather than column 4
+ARTIFICIAL_TIE = ([(2.0, 0.0), (1.0, -1.0)], (-1.0, 1.0))
+PIVOT_ELEMENT_TIE = ([(-1.0, 1.0), (-2.0, 0.0), (0.0, 1.0)], (0.0, 1.0))
+# column 5 enters with a ratio tie between columns 3 and 1: Bland's rule lets
+# column 1 leave (the lower index), Dantzig's column 3 (the larger pivot element)
+BLAND_TIE = ([(-1.0, -1.0, -1.0), (0.0, -2.0, 1.0), (0.0, 0.0, -1.0)], (-2.0, 0.0, 2.0))
 
 
 def _solve_both(monkeypatch, fn):
     new = fn()
     with monkeypatch.context() as mp:
         mp.setattr(lp_engine._Tableau, "pivot", ref_pivot)
+        mp.setattr(lp_engine, "_run_phase", ref_run_phase)
         old = fn()
     return new, old
+
+
+def _engine_log(monkeypatch, fn):
+    """The phases, pivots and refactors of the engine during fn(), in order.
+
+    A pivot is logged as (entering column, leaving column, rows whose ratio
+    lies within 1e-12 of the minimum).
+    """
+    log = []
+    pivot, refactor, run_phase = (lp_engine._Tableau.pivot, lp_engine._Tableau.refactor,
+                                  lp_engine._run_phase)
+
+    def logged_pivot(self, j, row, u):
+        ratios = np.divide(self.xb, u, out=np.full(len(u), np.inf),
+                           where=u > lp_engine._PIVOT_TOL)
+        ties = int(np.count_nonzero(ratios <= ratios.min() + 1e-12))
+        log.append(("pivot", j, int(self.basis[row]), ties))
+        pivot(self, j, row, u)
+
+    def logged_refactor(self):
+        log.append(("refactor",))
+        refactor(self)
+
+    def logged_phase(*args):
+        log.append(("phase",))
+        return run_phase(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp_engine._Tableau, "pivot", logged_pivot)
+        mp.setattr(lp_engine._Tableau, "refactor", logged_refactor)
+        mp.setattr(lp_engine, "_run_phase", logged_phase)
+        fn()
+    return log
 
 
 @pytest.mark.parametrize("case", range(len(_lp_instances())))
@@ -764,6 +873,54 @@ def test_solve_min_tv_matches_row_loop(monkeypatch, case):
     assert same_bits(new.weights, old.weights)
     assert same_bits(new.dual, old.dual)
     assert same_bits(new.objective, old.objective)
+
+
+def test_blocked_column_enters_after_the_next_pivot(monkeypatch):
+    # the refactor that blocks column 0 keeps it out for one pivot only
+    log = _engine_log(monkeypatch, lambda: solve_min_tv(*TINY_PIVOT))
+    assert log == [("phase",), ("refactor",), ("pivot", 3, 4, 1), ("pivot", 0, 5, 1),
+                   ("phase",)]
+
+
+def test_zero_artificial_leaves_in_phase_2(monkeypatch):
+    log = _engine_log(monkeypatch, lambda: solve_min_tv(*ZERO_ARTIFICIAL_IN_PHASE_2))
+    assert log == [("phase",), ("pivot", 5, 8, 2), ("pivot", 3, 7, 1),
+                   ("phase",), ("pivot", 1, 6, 1)]
+
+
+@pytest.mark.parametrize("case, log", [
+    (ARTIFICIAL_TIE, [("phase",), ("pivot", 2, 4, 1), ("pivot", 3, 5, 2), ("phase",)]),
+    (PIVOT_ELEMENT_TIE, [("phase",), ("pivot", 4, 6, 1), ("pivot", 0, 7, 1), ("phase",),
+                         ("pivot", 2, 0, 2)]),
+])
+def test_ratio_tie_leaves_off_its_first_row(monkeypatch, case, log):
+    assert _engine_log(monkeypatch, lambda: solve_min_tv(*case)) == log
+
+
+def test_nan_ratio_raises_as_in_the_row_loop(monkeypatch):
+    # a nan basic level makes the minimum ratio nan, and no row ties with it
+    def run():
+        tab = lp_engine._Tableau(np.hstack([np.eye(2), np.eye(2)]), np.array([1.0, 1.0]))
+        tab.xb[0] = np.nan
+        costs = np.array([0.0, 0.0, 1.0, 1.0])
+        with pytest.raises(ValueError):
+            lp_engine._run_phase(tab, costs, np.arange(4) >= 2, 10, 10)
+        return tab.pivots
+
+    assert _solve_both(monkeypatch, run) == (0, 0)
+
+
+@pytest.mark.parametrize("case", range(25, 29))
+def test_periodic_refactor_matches_row_loop(monkeypatch, case):
+    # master-sized instances take 35 to 41 pivots: refactor after every fourth
+    monkeypatch.setattr(lp_engine, "_REFACTOR_EVERY", 4)
+    cols, target = _lp_instances()[case]
+    log = _engine_log(monkeypatch, lambda: solve_min_tv(cols, target))
+    pivots = sum(e[0] == "pivot" for e in log)
+    assert pivots >= 35 and log.count(("refactor",)) == pivots // 4
+    new, old = _solve_both(monkeypatch, lambda: solve_min_tv(cols, target))
+    assert new.status == old.status and new.iterations == old.iterations
+    assert same_bits(new.weights, old.weights) and same_bits(new.dual, old.dual)
 
 
 def test_lp_instances_cover_every_status():
@@ -823,6 +980,7 @@ def _patched(monkeypatch, fn):
 
     with monkeypatch.context() as mp:
         mp.setattr(lp_engine._Tableau, "pivot", counted("pivot", ref_pivot))
+        mp.setattr(lp_engine, "_run_phase", counted("phase", ref_run_phase))
         mp.setattr(norm_solver, "_roots_unit_interval",
                    counted("roots", ref_roots_unit_interval))
         mp.setattr(norm_solver, "_poly_coeffs", counted("coeffs", ref_poly_coeffs))
@@ -841,7 +999,18 @@ def test_norm_pis_m2_whole_solve(monkeypatch):
     rng = random.Random("bitwise:pis:10")
     t = SymmetricTensor(2, 10, {i: rng.uniform(-1, 1) for i in multi_indices(2, 10)})
     new, old, calls = _patched(monkeypatch, lambda: norm_pis(t, l1(2)))
-    assert new.iterations > 1 and calls["pivot"] and calls["roots"] and calls["coeffs"]
+    assert new.iterations > 1 and calls["pivot"] and calls["phase"]
+    assert calls["roots"] and calls["coeffs"]
+    _assert_same_bounds(new, old)
+
+
+def test_norm_pisp_m2_ill_conditioned_whole_solve(monkeypatch):
+    # the i.i.d. law's round-170 master is so ill-conditioned that basic
+    # columns price at reduced costs as low as -2e-6; they must never enter
+    d = iid((0.2, 0.8), 8)
+    opts = SolverOptions(max_rounds=170)
+    new, old, calls = _patched(monkeypatch, lambda: norm_pisp(d.tensor, l1(2), opts))
+    assert new.iterations == 170 and calls["phase"]
     _assert_same_bounds(new, old)
 
 

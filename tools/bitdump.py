@@ -2,6 +2,7 @@
 
     python3 tools/bitdump.py CHECKOUT OUT.json
     python3 tools/bitdump.py --cli CHECKOUT OUT.json
+    python3 tools/bitdump.py --lp CHECKOUT OUT.json
     python3 tools/bitdump.py --diff OLD.json NEW.json
 
 Imports ``tensornorm`` from ``CHECKOUT/src`` and the inputs and operations
@@ -33,7 +34,15 @@ expand the orbit results to the full shape take about 11 seconds, most of it
 permutation-invariant commands over the full l1^N master, without orbit
 reduction, take far longer.
 
-With ``--diff`` it compares two dumps of either kind.  For each workload
+With ``--lp`` it runs one seed-1 cycle of each workload instead, in the order
+``bench/run.py`` walks it, with ``lp_engine.solve_min_tv`` wrapped, and
+records every master LP: its rows, columns, status, iterations and one
+sha256 over the bytes of its weights, dual and objective, keyed by workload,
+sweep, slot, pool entry and the master's place within the operation.  Two
+checkouts whose LP engines agree bit for bit on these masters give dumps
+equal under ``cmp``, in about 20 seconds each on 2 cores.
+
+With ``--diff`` it compares two dumps of any kind.  For each workload
 (``cli`` for a battery) it prints how many entries differ, and for each
 differing entry its key and the largest relative move of any bracket end
 in it: a field named ``lower``, ``upper``, ``total_variation`` or ``tv``
@@ -53,6 +62,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import io  # noqa: E402
@@ -119,6 +129,41 @@ def dump(checkout: Path) -> dict:
                 for j, inp in enumerate(pool):
                     out[f"{name}/{slot.key}/{j}"] = plain(workloads.call(slot, inp))
             print(f"{name}: {sum(len(p) for p in wl.pools)} entries", file=sys.stderr)
+    return out
+
+
+def dump_lp(checkout: Path) -> dict:
+    workloads = _load_workloads(checkout)
+    lp_engine = importlib.import_module("tensornorm.lp_engine")
+    record = json.loads((checkout / "bench" / "record.json").read_text(encoding="utf-8"))
+    solve, masters = lp_engine.solve_min_tv, []
+
+    def recorded(columns, target, *args, **kwargs):
+        sol = solve(columns, target, *args, **kwargs)
+        digest = hashlib.sha256()
+        for part in (sol.weights, sol.dual, sol.objective):
+            digest.update(np.asarray(part, dtype=float).tobytes())
+        masters.append({"rows": len(target), "columns": len(columns), "status": sol.status,
+                        "iterations": sol.iterations, "sha256": digest.hexdigest()})
+        return sol
+
+    out = {}
+    lp_engine.solve_min_tv = recorded
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in WORKLOADS:
+                wl = workloads.Workload(name, 1, Path(tmp) / name, record[name])
+                wl.write_files()
+                n_masters = len(out)
+                for r in range(wl.cycle):
+                    for slot, j, inp in wl.sweep(r):
+                        masters.clear()
+                        workloads.call(slot, inp)
+                        out.update((f"{name}/{r}/{slot.key}/{j}/{k}", m)
+                                   for k, m in enumerate(masters))
+                print(f"{name}: {len(out) - n_masters} masters", file=sys.stderr)
+    finally:
+        lp_engine.solve_min_tv = solve
     return out
 
 
@@ -307,7 +352,7 @@ def diff(old: dict, new: dict) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    mode = argv[0] if argv[:1] in (["--cli"], ["--diff"]) else None
+    mode = argv[0] if argv[:1] in (["--cli"], ["--lp"], ["--diff"]) else None
     argv = argv[1:] if mode else argv
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -315,7 +360,7 @@ def main(argv=None) -> int:
     if mode == "--diff":
         return diff(*(json.loads(Path(a).read_text(encoding="utf-8")) for a in argv))
     checkout, target = Path(argv[0]).resolve(), Path(argv[1])
-    result = dump_cli(checkout) if mode else dump(checkout)
+    result = {None: dump, "--cli": dump_cli, "--lp": dump_lp}[mode](checkout)
     target.write_text(json.dumps(result, sort_keys=True, indent=0) + "\n", encoding="utf-8")
     print(f"{len(result)} entries -> {target}", file=sys.stderr)
     return 0
