@@ -13,7 +13,6 @@ import json
 import math
 import re
 import sys
-from contextlib import nullcontext
 from fractions import Fraction
 
 from . import euclid2, exchangeable, norm_solver
@@ -354,27 +353,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; its payload is the only thing written to the output."""
+    """Run one command; its payload is the only thing written, to --output on exit 0 or 3."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        sink = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
-    except OSError as exc:
+        payload, converged = args.fn(args)
+    except ValueError as exc:   # rejected input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        # float ** in the closed forms raises where the result exceeds a double
+        print("error: result out of range", file=sys.stderr)
+        return 2
+    text = _RENDER[args.format](payload)
+    if not args.output:
+        sys.stdout.write(text)
+        return 0 if converged else 3
+    try:   # opened only now, so a rejected command leaves the file as it was
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.write(text)
+    except OSError as exc:   # also a write that fails, as on a full disk
         print(f"error: cannot open output: {exc}", file=sys.stderr)
         return 2
-    with sink as out:
-        try:
-            payload, converged = args.fn(args)
-        except ValueError as exc:   # rejected input
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except OverflowError:
-            # float ** in the closed forms raises where the result exceeds a double
-            print("error: result out of range", file=sys.stderr)
-            return 2
-        out.write(_RENDER[args.format](payload))
     return 0 if converged else 3
 
 

@@ -4,10 +4,12 @@ Symmetric 2x2 matrices are treated as order-2 tensors over the Euclidean
 plane with the coordinatewise order.  In the coordinates (u, v, w) with
 A = [[u+w, v], [v, u-w]] / 2 the unit balls of the three norms are convex
 hulls of explicit circles and arcs, which gives closed forms on the w = 0
-plane and exact extreme-point parametrisations.  Column generation over
-the positive quarter circle (powers) and over pairs of positive unit
-vectors (wedges) provides certified brackets for arbitrary matrices; the
-trigonometric pricing problems are solved in closed form.
+plane and exact extreme-point parametrisations.  The projective and the
+symmetric projective norm are the trace norm, exact with its spectral
+witness.  Column generation over the positive quarter circle (powers) and
+over pairs of positive unit vectors (wedges) provides certified brackets
+for arbitrary matrices; the trigonometric pricing problems are solved in
+closed form.  NaN or infinite entries raise ValueError.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ def _matrix_entries(matrix) -> tuple[float, float, float]:
     b = float(matrix[0][1])
     b2 = float(matrix[1][0])
     c = float(matrix[1][1])
+    check_finite(a, b, b2, c)
     scale = max(1.0, abs(a), abs(b), abs(c))
     if abs(b - b2) > 1e-9 * scale:
         raise ValueError("matrix must be symmetric")
@@ -98,6 +101,7 @@ def norms_ab(a: float, b: float) -> tuple[float, float, float]:
 
 def norm_pi_uvw(u: float, v: float, w: float) -> float:
     """Plain norm in (u, v, w) coordinates: the cylinder max(|u|, hypot(v, w))."""
+    check_finite(u, v, w)
     return max(abs(u), math.hypot(v, w))
 
 
@@ -118,28 +122,22 @@ def _sinusoid_candidates(alpha: float, beta: float, lo: float, hi: float) -> lis
 
 
 class _ArcPowerFamily:
-    """Generators (cos t, sin t)^(tensor 2) for t in [lo, hi]."""
-
-    def __init__(self, lo: float, hi: float):
-        self.lo = lo
-        self.hi = hi
+    """Generators (cos t, sin t)^(tensor 2) for t in [0, pi/2]."""
 
     def column(self, t) -> np.ndarray:
         c, s = math.cos(t), math.sin(t)
         return np.asarray([c * c, c * s, s * s])
 
     def seeds(self) -> list[float]:
-        span = self.hi - self.lo
-        pts = [self.lo + span * j / 8 for j in range(9)]
-        return pts
+        return [_HALF_PI * j / 8 for j in range(9)]
 
     def oracle(self, y):
         y = np.asarray(y, dtype=float)
         k = (y[0] + y[2]) / 2
         alpha = (y[0] - y[2]) / 2
         beta = y[1] / 2
-        best_t, best_v = self.lo, -1.0
-        for theta in _sinusoid_candidates(alpha, beta, 2 * self.lo, 2 * self.hi):
+        best_t, best_v = 0.0, -1.0
+        for theta in _sinusoid_candidates(alpha, beta, 0.0, math.pi):
             val = abs(k + alpha * math.cos(theta) + beta * math.sin(theta))
             if val > best_v:
                 best_v, best_t = val, theta / 2
@@ -200,13 +198,12 @@ class _WedgePairFamily:
 def half_circle_lp(matrix, opts: SolverOptions | None = None) -> NormBounds:
     """Certified bracket for the positive-power norm of a symmetric 2x2 matrix."""
     a, b, c = _matrix_entries(matrix)
-    return run_column_generation([a, b, c], _ArcPowerFamily(0.0, _HALF_PI), opts)
+    return run_column_generation([a, b, c], _ArcPowerFamily(), opts)
 
 
-def full_circle_lp(matrix, opts: SolverOptions | None = None) -> NormBounds:
-    """Certified bracket for the power norm over the whole unit circle."""
-    a, b, c = _matrix_entries(matrix)
-    return run_column_generation([a, b, c], _ArcPowerFamily(0.0, math.pi), opts)
+# The power norm over the whole circle is the trace norm, in closed form; the name
+# stays while bench/tracer.py wraps it.
+full_circle_lp = trace_norm_bounds
 
 
 def positive_wedge_lp(matrix, opts: SolverOptions | None = None) -> NormBounds:

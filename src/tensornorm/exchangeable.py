@@ -185,8 +185,7 @@ def represent(d: ExchangeableDistribution, method: str = "lp",
     m = d.num_states
     if method == "lp":
         nb = norm_solver.norm_pisp(d.tensor, norm_solver.l1(m), opts)
-        atoms = [(w, x) for w, x in (nb.primal.terms if nb.primal else ())]
-        measure = _merged_measure(atoms)
+        measure = _merged_measure(nb.primal or SignedPowerCombination(m, d.order, ()))
         measure.converged = nb.converged
         return measure
     if method == "constructive":
@@ -197,22 +196,18 @@ def represent(d: ExchangeableDistribution, method: str = "lp",
             if weight == 0.0:
                 continue
             positions = [[int(s == state) for s in idx] for state in range(m)]
-            atoms += [(weight * a, nu) for a, nu in pushforward(positions, master).terms]
-        return _merged_measure(atoms)
+            # barycentres d/k with k <= n: equal as floats exactly when equal as Fractions,
+            # and floats merge several times faster
+            atoms += [(weight * a, tuple(map(float, nu)))
+                      for a, nu in pushforward(positions, master).terms]
+        return _merged_measure(SignedPowerCombination(m, d.order, tuple(atoms)))
     raise ValueError(f"unknown method {method!r}")
 
 
-def _merged_measure(atoms) -> SignedMixingMeasure:
-    """Merge atoms that agree to 12 decimals; each bucket keeps its first atom as given."""
-    bucket: dict = {}   # rounded atom -> [first atom, summed weight]
-    for w, nu in atoms:
-        key = tuple(round(float(v), 12) for v in nu)
-        if key not in bucket:
-            bucket[key] = [tuple(float(v) for v in nu), 0.0]
-        bucket[key][1] += float(w)
-    merged = [(w, nu) for _, (nu, w) in sorted(bucket.items()) if abs(w) > PRUNE_TOL]
-    tv = math.fsum(abs(w) for w, _ in merged)
-    return SignedMixingMeasure(merged, tv)
+def _merged_measure(comb_: SignedPowerCombination) -> SignedMixingMeasure:
+    """The merged terms of comb_, float weights and atoms, whose weight exceeds PRUNE_TOL."""
+    merged = [(w, nu) for w, nu in comb_.merged().terms if abs(w) > PRUNE_TOL]
+    return SignedMixingMeasure(merged, math.fsum(abs(w) for w, _ in merged))
 
 
 def verify_representation(d: ExchangeableDistribution,

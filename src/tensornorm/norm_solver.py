@@ -544,10 +544,10 @@ def norm_pisp(t: SymmetricTensor, space: SpaceDescriptor,
 
 def norm_pis(t: SymmetricTensor, space: SpaceDescriptor,
              opts: SolverOptions | None = None) -> NormBounds:
-    """Symmetric norm via column generation over signed unit powers (m <= 4)."""
+    """Symmetric norm: signed unit powers by column generation (m <= 4); the trace norm on l2^2."""
     _check_space(t, space)
     if space.family == "l2dim2":
-        return euclid2.full_circle_lp(_to_matrix(t), opts)
+        return norm_pi(t, space)
     if t.dim > 4:
         raise ValueError("signed generation is limited to m <= 4 (2^m sign orthants)")
     fam = _PowerFamily(t.dim, t.order, signed=True, target=t.vector())

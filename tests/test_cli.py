@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -321,6 +322,54 @@ class TestDeterminism:
                     "--output", str(path))
         assert r.returncode == 0
         assert path.read_text().strip() == "17"
+
+
+class TestOutputFile:
+    """--output is written only when there is a payload: exit 0 or 3."""
+
+    @pytest.mark.parametrize("argv", [
+        ["represent", "--input", "{dir}/missing.json"],
+        ["euclid2", "--what", "halfcircle"],
+        ["kappa", "--n", "0"],
+    ], ids=" ".join)
+    def test_rejected_command_keeps_the_file(self, argv, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        path.write_text("keep me")
+        argv = [a.format(dir=tmp_path) for a in argv] + ["--output", str(path)]
+        assert cli.main(argv) == 2
+        assert path.read_text() == "keep me"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["kappa", "--n", "2"], 0),
+        (["kappa", "--n", "5", "--max-iters", "2"], 3),
+    ])
+    def test_payload_replaces_the_file(self, argv, code, tmp_path, capsys):
+        assert cli.main(argv) == code
+        want = capsys.readouterr().out
+        path = tmp_path / "out.json"
+        path.write_text("old content, longer than nothing")
+        assert cli.main(argv + ["--output", str(path)]) == code
+        assert path.read_text(encoding="utf-8") == want
+        assert capsys.readouterr().out == ""
+
+    def test_unopenable_path_exits_2(self, tmp_path, capsys):
+        argv = ["kappa", "--n", "2", "--output", str(tmp_path / "missing" / "out.json")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot open output: ")
+
+    def test_failed_write_exits_2(self, monkeypatch, tmp_path, capsys):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+        assert cli.main(["kappa", "--n", "2", "--output", str(tmp_path / "out.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot open output: [Errno 28] No space left on device\n"
 
 
 SUBCOMMANDS = {

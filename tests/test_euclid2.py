@@ -4,10 +4,10 @@ import random
 import pytest
 
 from tensornorm._colgen import SolverOptions
-from tensornorm.euclid2 import (UVWCoords, constants_l2, extreme_points,
-                                full_circle_lp, half_circle_lp, norm_pi_uvw,
-                                norms_ab, positive_wedge_lp, trace_norm_2x2,
+from tensornorm.euclid2 import (UVWCoords, constants_l2, extreme_points, half_circle_lp,
+                                norm_pi_uvw, norms_ab, positive_wedge_lp, trace_norm_2x2,
                                 trace_norm_bounds)
+from tensornorm.tensor_core import SymmetricTensor
 
 FAST = SolverOptions(tol=1e-7, max_rounds=120)
 
@@ -25,6 +25,25 @@ class TestTraceNorm:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             trace_norm_2x2([[0, 1], [0.5, 0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("pos", [(0, 0), (0, 1), (1, 0), (1, 1)], ids=str)
+    @pytest.mark.parametrize("fn", [trace_norm_2x2, trace_norm_bounds, half_circle_lp,
+                                    positive_wedge_lp, UVWCoords.from_matrix],
+                             ids=lambda fn: fn.__name__)
+    def test_non_finite_entry_rejected(self, fn, pos, bad):
+        matrix = [[1.0, 0.0], [0.0, 0.0]]
+        matrix[pos[0]][pos[1]] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fn(matrix)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("pos", range(3))
+    def test_non_finite_uvw_rejected(self, pos, bad):
+        uvw = [1.0, 0.0, 0.0]
+        uvw[pos] = bad
+        with pytest.raises(ValueError, match="finite"):
+            norm_pi_uvw(*uvw)
 
     def test_bounds_carry_spectral_witness(self):
         nb = trace_norm_bounds([[0, 1], [1, 0]])
@@ -114,14 +133,27 @@ class TestHalfCircle:
 
 
 class TestFullCircle:
+    """The power norm over the whole circle is the trace norm; check its certificate."""
+
     def test_matches_trace_norm(self):
         rng = random.Random(6)
+        angles = [2 * math.pi * j / 4096 for j in range(4096)]
         for _ in range(40):
             u, v, w = (rng.uniform(-2, 2) for _ in range(3))
             A = UVWCoords(u, v, w).to_matrix()
-            nb = full_circle_lp(A, FAST)
-            assert nb.converged
-            assert nb.contains(trace_norm_2x2(A), 1e-6)
+            a, b, c = A[0][0], A[0][1], A[1][1]
+            nb = trace_norm_bounds(A)
+            assert nb.converged and nb.lower == nb.upper and nb.iterations == 0
+            recon = nb.primal.evaluate()
+            target = SymmetricTensor(2, 2, {(0, 0): a, (0, 1): b, (1, 1): c})
+            assert recon.residual_inf(target) <= 1e-12
+            assert math.fsum(abs(wt) for wt, _ in nb.primal.terms) == nb.upper
+            assert a * nb.dual[0] + b * nb.dual[1] + c * nb.dual[2] == pytest.approx(
+                nb.upper, abs=1e-12)
+            worst = max(abs(nb.dual[0] * math.cos(t) ** 2
+                            + nb.dual[1] * math.cos(t) * math.sin(t)
+                            + nb.dual[2] * math.sin(t) ** 2) for t in angles)
+            assert worst <= 1 + 1e-12
 
 
 class TestPositiveWedge:

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from tensornorm import norm_solver
-from tensornorm._colgen import SolverOptions
-from tensornorm.exchangeable import (_master_decomposition, chi_nN, iid, kappa_bounds,
+from tensornorm._colgen import PRUNE_TOL, SolverOptions
+from tensornorm.exchangeable import (_master_decomposition, _merged_measure, chi_nN, iid,
+                                     kappa_bounds,
                                      kappa_nN_bounds, kappa_nNm_bounds, load_distribution,
                                      mu_binary, partition_log_slack, represent,
                                      uv_bound, verify_representation)
-from tensornorm.tensor_core import multi_indices, wedge
+from tensornorm.tensor_core import (SignedPowerCombination, multi_indices, multiplicity,
+                                    pushforward, wedge)
 
 FAST = SolverOptions(tol=1e-6, max_rounds=120)
 
@@ -133,7 +135,7 @@ class TestRepresent:
         assert mes.total_variation == pytest.approx(75.4, abs=1e-9)
 
     def test_constructive_atoms_are_not_rounded(self):
-        # merging buckets atoms by 12 decimals but keeps each bucket's own atom
+        # atoms merge as exact Fractions; each is then the float of its Fraction
         mes = represent(mu_binary(3, 1), "constructive")
         assert [nu for _, nu in mes.atoms] == [(0.0, 1.0), (1 / 3, 2 / 3), (0.5, 0.5),
                                                (1.0, 0.0)]
@@ -146,6 +148,48 @@ class TestRepresent:
         mes = represent(d, "constructive", SolverOptions(max_rounds=0))
         assert mes.atoms == represent(d, "constructive").atoms
         assert mes.total_variation == pytest.approx(25 / 3, abs=1e-12)
+
+    def test_constructive_merges_atoms_that_words_share(self):
+        # both words push the master onto the barycentres of {0}, {1} and {0, 1}
+        d = load_distribution([((0, 0, 1), 0.5), ((0, 1, 1), 0.5)])
+        master = _master_decomposition(3)
+        exact: dict = {}
+        pushed = 0
+        for idx, p in d.tensor.entries.items():
+            positions = [[int(s == state) for s in idx] for state in range(2)]
+            for a, nu in pushforward(positions, master).terms:
+                assert all(isinstance(v, Fraction) for v in nu)
+                exact[nu] = exact.get(nu, 0) + Fraction(p) * multiplicity(idx) * a
+                pushed += 1
+        want = [(w, tuple(map(float, nu))) for nu, w in sorted(exact.items())
+                if abs(w) > PRUNE_TOL]
+        mes = represent(d, "constructive")
+        assert pushed > len(exact) >= len(mes.atoms)
+        assert all(type(v) is float for w, nu in mes.atoms for v in (w, *nu))
+        assert [nu for _, nu in mes.atoms] == [nu for _, nu in want]
+        assert [w for w, _ in mes.atoms] == pytest.approx([float(w) for w, _ in want],
+                                                          abs=1e-12)
+
+    def test_merge_drops_weights_that_cancel(self):
+        one, half = (1.0, 0.0), (0.5, 0.5)
+        comb_ = SignedPowerCombination(2, 2, ((0.75, one), (0.5, half), (2e-10, (0.0, 1.0)),
+                                              (-0.5 + 5e-11, half), (0.25, one)))
+        mes = _merged_measure(comb_)
+        assert mes.atoms == [(2e-10, (0.0, 1.0)), (1.0, (1.0, 0.0))]
+        assert mes.total_variation == math.fsum([2e-10, 1.0])
+
+    @pytest.mark.parametrize("m, n", [(2, 4), (3, 3)])
+    def test_lp_atoms_are_the_witness_terms(self, m, n):
+        d = random_exchangeable(random.Random(10 * m + n), m, n)
+        terms = norm_solver.norm_pisp(d.tensor, norm_solver.l1(m), FAST).primal.terms
+
+        def bits(atoms):
+            return [(w.hex(), tuple(v.hex() for v in nu)) for w, nu in atoms]
+
+        mes = represent(d, "lp", FAST)
+        assert len(terms) > 1
+        assert bits(mes.atoms) == bits(terms)
+        assert mes.total_variation == math.fsum(abs(w) for w, _ in terms)
 
     def test_lp_beats_constructive(self):
         rng = random.Random(43)

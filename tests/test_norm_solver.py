@@ -116,6 +116,12 @@ class TestNormPis:
         nb = norm_pis(t, l2dim2())
         assert nb.contains(2.0, 1e-7)
 
+    def test_l2_is_the_trace_norm(self):
+        t = SymmetricTensor(2, 2, {(0, 0): 0.5, (0, 1): -1.25, (1, 1): -2.0})
+        nb = norm_pis(t, l2dim2())
+        assert nb == norm_pi(t, l2dim2())
+        assert nb.lower == nb.upper and nb.iterations == 0 and nb.converged
+
     def test_large_dim_rejected(self):
         t = wedge([(1.0,) + (0.0,) * 4] * 2)
         with pytest.raises(ValueError):
@@ -340,7 +346,7 @@ class _KeptWeightsFamily(_PowerFamily):
 class TestColumnIdentity:
     """run_column_generation keys every parameter to 12 decimals and prunes the weights."""
 
-    @pytest.mark.parametrize("family", [_NearSeedArcFamily(0.0, math.pi / 2),
+    @pytest.mark.parametrize("family", [_NearSeedArcFamily(),
                                         _NearSeedPowerFamily(2, 4, signed=False)],
                              ids=["angle", "tuple"])
     def test_parameter_within_12_decimals_is_no_new_column(self, family):

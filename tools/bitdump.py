@@ -18,7 +18,7 @@ compute the same bits exactly when their dumps are equal byte for byte:
 
 One checkout takes about 2.5 minutes on 2 cores.
 
-With ``--cli`` it runs a fixed battery of 117 command lines through
+With ``--cli`` it runs a fixed battery of 118 command lines through
 ``tensornorm.cli.main`` instead (every subcommand in every ``--format``,
 rational ``psi``, runs that exit 3, ``--output``, negative numbers,
 permutation-invariant solves off the benchmark pools (up to chi_4,48 on
@@ -246,6 +246,7 @@ CLI_ONCE = [
     ["euclid2", "--what", "halfcircle", "--matrix", "1,2"],
     ["euclid2", "--what", "halfcircle", "--matrix", "nan,0,0"],
     ["represent", "--input", "{dir}/missing.json"],
+    ["represent", "--input", "{dir}/missing.json", "--output", "{out}"],
     ["kappa", "--n", "2", "--output", "{dir}/missing/out.txt"],
     ["kappa", "--n", "2", "--seed", "1"],
     ["psi", "--a", "-x", "--b", "1", "--n", "2"],
