@@ -59,10 +59,17 @@ def trace_norm_2x2(matrix) -> float:
 
 
 def trace_norm_bounds(matrix) -> NormBounds:
-    """Trace norm as a closed bracket with the spectral decomposition witness."""
+    """Trace norm as a closed bracket with the spectral decomposition witness.
+
+    Raises OverflowError where the trace norm exceeds the largest double.
+    """
     a, b, c = _matrix_entries(matrix)
-    root = math.hypot(a - c, 2 * b)
-    lam1, lam2 = (a + c + root) / 2, (a + c - root) / 2
+    for scale in (1.0, 4.0):   # A / 4 is exact and keeps every step below finite
+        a, b, c = a / scale, b / scale, c / scale
+        root = math.hypot(a - c, 2 * b)
+        lam1, lam2 = (a + c + root) / 2, (a + c - root) / 2
+        if math.isfinite(abs(lam1) + abs(lam2)):
+            break
     if root < 1e-300:
         vecs = [(1.0, 0.0), (0.0, 1.0)]
     else:
@@ -74,9 +81,11 @@ def trace_norm_bounds(matrix) -> NormBounds:
         norm1 = math.hypot(*v1)
         v1 = (v1[0] / norm1, v1[1] / norm1)
         vecs = [v1, (-v1[1], v1[0])]
-    terms = tuple((lam, v) for lam, v in zip((lam1, lam2), vecs) if lam != 0.0)
+    terms = tuple((scale * lam, v) for lam, v in zip((lam1, lam2), vecs) if lam != 0.0)
     primal = SignedPowerCombination(2, 2, terms)
-    val = abs(lam1) + abs(lam2)
+    val = scale * (abs(lam1) + abs(lam2))
+    if not math.isfinite(val):
+        raise OverflowError("norm exceeds the largest double")
     s1, s2 = math.copysign(1.0, lam1), math.copysign(1.0, lam2)
     u1, u2 = vecs
     dual = [s1 * u1[0] * u1[0] + s2 * u2[0] * u2[0],
@@ -110,14 +119,17 @@ def norm_pi_uvw(u: float, v: float, w: float) -> float:
 
 
 def _sinusoid_candidates(alpha: float, beta: float, lo: float, hi: float) -> list[float]:
-    """Angles where K + alpha cos(t) + beta sin(t) can attain extrema on [lo, hi]."""
+    """Angles where K + alpha cos(t) + beta sin(t) can attain extrema on [lo, hi].
+
+    [lo, hi] must lie inside [0, pi]: the critical angles are phi + k pi with
+    phi = atan2(beta, alpha) in [-pi, pi], and there only k = 0 and k = 1 can
+    land anywhere but on an end that is already a candidate.
+    """
     cands = [lo, hi]
     phi = math.atan2(beta, alpha)
-    for branch in (phi, phi + math.pi):
-        for shift in (-2 * math.pi, 0.0, 2 * math.pi):
-            t = branch + shift
-            if lo - 1e-15 <= t <= hi + 1e-15:
-                cands.append(min(max(t, lo), hi))
+    for t in (phi, phi + math.pi):
+        if lo - 1e-15 <= t <= hi + 1e-15:
+            cands.append(min(max(t, lo), hi))
     return cands
 
 
@@ -170,7 +182,7 @@ class _WedgePairFamily:
         cands: list[tuple[float, float]] = []
         # interior critical points sit on the diagonal s = t
         sigma0 = math.atan2(c, b)
-        for sigma in (sigma0, sigma0 + math.pi, sigma0 - math.pi):
+        for sigma in (sigma0, sigma0 + math.pi):
             if -1e-15 <= sigma <= math.pi + 1e-15:
                 half = min(max(sigma / 2, 0.0), _HALF_PI)
                 cands.append((half, half))

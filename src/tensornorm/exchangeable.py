@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from . import norm_solver
 from ._colgen import PRUNE_TOL, NormBounds, SolverOptions
@@ -76,19 +76,24 @@ def load_distribution(atoms, states=None, order: int | None = None) -> Exchangea
     """Build a distribution from (index-tuple, probability) atoms.
 
     Each atom's probability is spread uniformly over the orderings of its
-    index tuple, which symmetrises arbitrary input.  Indices must be
-    integers; probabilities must be finite, non-negative and sum to one
-    within 1e-9.
+    index tuple, which symmetrises arbitrary input.  The order, given or the
+    length of the first atom's index, must be a positive int, and states a
+    list or other iterable.  Indices must be integers; probabilities must be
+    finite, non-negative and sum to one within 1e-9.
     """
     atoms = [(tuple(_state_index(i) for i in idx), float(p)) for idx, p in atoms]
     if not atoms:
         raise ValueError("at least one atom is required")
     if order is None:
         order = len(atoms[0][0])
-    max_idx = max(max(idx) for idx, _ in atoms)
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+        raise ValueError(f"order must be a positive integer, got {order!r}")
     if states is None:
-        states = tuple(range(max_idx + 1))
-    states = tuple(states)
+        states = range(max(max(idx) for idx, _ in atoms) + 1)
+    try:
+        states = tuple(states)
+    except TypeError:
+        raise ValueError(f"states must be a list, got {states!r}") from None
     m = len(states)
     total = 0.0
     entries: dict = {}
@@ -282,22 +287,16 @@ def kappa_nN_bounds(n: int, N: int, exact: bool = False,
 
 
 def _pushforward_chi(n: int, N: int, counts) -> SymmetricTensor:
-    """Law of n draws without replacement from a pool with the given counts."""
-    m = len(counts)
-    falling_N = 1.0
-    for k in range(n):
-        falling_N *= (N - k)
+    """Law of n draws without replacement from a pool with the given counts.
+
+    Each entry is an integer count of ordered draws over (N)_n, rounded once.
+    """
+    m, ordered = len(counts), perm(N, n)
     entries: dict = {}
     for idx in multi_indices(m, n):
-        val = 1.0
-        for state in range(m):
-            c = idx.count(state)
-            for k in range(c):
-                val *= (counts[state] - k)
-            if val == 0.0:
-                break
-        if val != 0.0:
-            entries[idx] = val / falling_N
+        draws = math.prod(perm(c, idx.count(s)) for s, c in enumerate(counts))
+        if draws:
+            entries[idx] = draws / ordered
     return SymmetricTensor(m, n, entries)
 
 

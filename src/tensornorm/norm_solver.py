@@ -29,7 +29,8 @@ import numpy as np
 from . import euclid2
 from ._colgen import PRICING_TOL, NormBounds, SolverOptions, run_column_generation
 from .chebyshev import psi
-from .tensor_core import SignedPowerCombination, SymmetricTensor, multi_indices, multiplicity
+from .tensor_core import (SignedPowerCombination, SymmetricTensor, _arrangements, multi_indices,
+                          multiplicity)
 
 
 @dataclass(frozen=True)
@@ -470,24 +471,6 @@ def _block_patterns(r: int, dim: int) -> list[tuple[int, ...]]:
     for _ in range(r):
         out = [p + (k,) for p in out for k in range(p[-1] if p else 1, dim + 1)]
     return [p for p in out if sum(p) <= dim]
-
-
-def _arrangements(x: tuple) -> list[tuple]:
-    """The distinct permutations of x, increasing: next-permutation steps from sorted(x)."""
-    a = sorted(x)
-    out = [tuple(a)]
-    while True:
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return out
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1:] = reversed(a[i + 1:])
-        out.append(tuple(a))
 
 
 def _full_shape(nb: NormBounds, dim: int, n: int) -> NormBounds:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 from typing import Sequence
 
 
@@ -36,6 +36,24 @@ def multiplicity(idx: Sequence[int]) -> int:
     for c in counts.values():
         out //= math.factorial(c)
     return out
+
+
+def _arrangements(x: tuple) -> list[tuple]:
+    """The distinct permutations of x, increasing: next-permutation steps from sorted(x)."""
+    a = sorted(x)
+    out = [tuple(a)]
+    while True:
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+        out.append(tuple(a))
 
 
 def _as_vector(x, exact: bool) -> tuple:
@@ -279,9 +297,10 @@ def vandermonde_decomposition(x: Sequence, order: int, nodes: Sequence | None = 
                               exact: bool = False) -> SignedPowerCombination:
     """Decompose x^(tensor n) into powers of coordinatewise-positive vectors.
 
-    Splits x = y - z, picks weights lam_k solving
-    sum_k lam_k (t_k + 1)^j = [j == 0] for j = 0..n over the given nodes,
-    and returns the terms (lam_k, y + t_k z).  Default nodes are 0..n.
+    Splits x = y - z and returns the terms (lam_k, y + t_k z) over the given
+    nodes t_k, default 0..n.  The weights solve sum_k lam_k (t_k + 1)^j =
+    [j == 0] for j = 0..n; they are the Lagrange basis at 0 on the points
+    t + 1, in closed form lam_k = prod_{i != k} (t_i + 1) / (t_i - t_k).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -297,10 +316,8 @@ def vandermonde_decomposition(x: Sequence, order: int, nodes: Sequence | None = 
     vec = _as_vector(x, exact)
     split = pos_neg_split(vec, p=1)
     y, z = split.positive_part, split.negative_part
-    rows = [[(t + 1) ** j for t in nodes] for j in range(order + 1)]
-    rhs = [_zero(exact)] * (order + 1)
-    rhs[0] = Fraction(1) if exact else 1.0
-    lam = _solve_linear(rows, rhs)
+    lam = [math.prod((ti + 1) / (ti - tk) for i, ti in enumerate(nodes) if i != k)
+           for k, tk in enumerate(nodes)]
     if all(v == 0 for v in z):
         total = sum(lam, _zero(exact))
         return SignedPowerCombination(len(vec), order, ((total, y),))
@@ -339,7 +356,7 @@ def tensor_pushforward(matrix: Sequence[Sequence], t: SymmetricTensor) -> Symmet
         s = 0.0
         for idx, val in nonzero:
             acc = 0.0
-            for ordering in set(permutations(idx)):
+            for ordering in _arrangements(idx):
                 p = 1.0
                 for jk, ok in zip(jdx, ordering):
                     p *= rows[jk][ok]
@@ -349,23 +366,3 @@ def tensor_pushforward(matrix: Sequence[Sequence], t: SymmetricTensor) -> Symmet
             out[jdx] = s
     return SymmetricTensor(m_out, t.order, out)
 
-
-def _solve_linear(rows, rhs):
-    """Gaussian elimination with partial pivoting; works on floats or Fractions."""
-    n = len(rows)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0:
-            raise ValueError("singular linear system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col] / inv
-            if f == 0:
-                continue
-            for c in range(col, n + 1):
-                a[r][c] = a[r][c] - f * a[col][c]
-    return [a[i][n] / a[i][i] for i in range(n)]

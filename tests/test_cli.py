@@ -120,6 +120,23 @@ class TestExtendBounds:
         assert float(cells[3]) == pytest.approx(j["rows"][0][3])
         assert float(cells[4]) == pytest.approx(j["rows"][0][4])
 
+    def test_exact_json_and_csv(self, capsys):
+        argv = ["extend-bounds", "--n", "3", "--N", "3..5", "--exact"]
+        assert cli.main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert cli.main(argv + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "n,N,m,lower,upper,exact_lower,exact_upper"
+        assert [row[1] for row in rows] == [3, 4, 5]
+        for row, line in zip(rows, lines[1:], strict=True):
+            assert row[5] <= row[6]
+            assert [float(v) for v in line.split(",")[5:]] == row[5:]
+
+    def test_exact_unconverged_exits_3(self, capsys):
+        argv = ["extend-bounds", "--n", "5", "--N", "5..6", "--exact", "--max-iters", "1"]
+        assert cli.main(argv) == 3
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 2
+
     def test_bad_range(self):
         assert run_cli("extend-bounds", "--n", "2", "--N", "5..3").returncode == 2
 
@@ -232,6 +249,18 @@ class TestRejectedInputText:
         assert cli.main([a.format(law=law) for a in argv]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", err)
+
+    @pytest.mark.parametrize("extra, idx", [
+        ({"states": 5}, [0, 1]), ({"order": 2.0}, [0, 1]), ({"order": "2"}, [0, 1]),
+        ({}, []),
+    ], ids=["states-5", "order-2.0", "order-str", "idx-empty"])
+    def test_bad_represent_input(self, extra, idx, tmp_path, capsys):
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps({"atoms": [{"idx": idx, "p": 1.0}], **extra}))
+        assert cli.main(["represent", "--input", str(law)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_library_value_error_in_any_command(self, monkeypatch, capsys):
         # kappa has no handler of its own; numpy's LinAlgError is a ValueError

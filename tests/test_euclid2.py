@@ -52,6 +52,27 @@ class TestTraceNorm:
         assert recon.value((0, 1)) == pytest.approx(1.0)
         assert nb.primal.cost(p=2) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("matrix, value", [
+        ([[1e308, 0.0], [0.0, 0.0]], 1e308),
+        ([[0.0, 0.0], [0.0, -1e308]], 1e308),
+        ([[1e308, 0.0], [0.0, -7e307]], 1.7e308),
+        ([[0.0, 8e307], [8e307, 0.0]], 1.6e308),
+    ])
+    def test_large_finite_entries(self, matrix, value):
+        # the direct formula overflows; A / 4 is exact and scales back
+        nb = trace_norm_bounds(matrix)
+        assert nb.lower == nb.upper == pytest.approx(value, rel=1e-15)
+        assert math.fsum(abs(w) for w, _ in nb.primal.terms) == pytest.approx(value, rel=1e-15)
+        (a, b), (_, c) = matrix
+        target = SymmetricTensor(2, 2, {(0, 0): a, (0, 1): b, (1, 1): c})
+        assert nb.primal.evaluate().residual_inf(target) <= 1e-15 * value
+
+    @pytest.mark.parametrize("matrix", [[[1e308, 1e308], [1e308, 1e308]],
+                                        [[1e308, 0.0], [0.0, -1e308]]])
+    def test_norm_above_the_largest_double_overflows(self, matrix):
+        with pytest.raises(OverflowError):
+            trace_norm_bounds(matrix)
+
     def test_matches_cylinder_form(self):
         rng = random.Random(12)
         for _ in range(100):
@@ -174,6 +195,13 @@ class TestPositiveWedge:
             want = norms_ab(a, b)[2]
             assert nb.converged
             assert nb.contains(want, 1e-6), (a, b, want, nb.lower, nb.upper)
+
+    def test_json_carries_the_wedge_pairs(self):
+        nb = positive_wedge_lp([[1, -1], [-1, 1]], FAST)
+        pairs = nb.to_json_dict()["primal_pairs"]
+        assert pairs == [{"w": w, "x1": list(x1), "x2": list(x2)}
+                         for w, x1, x2 in nb.primal_pairs]
+        assert pairs and nb.to_json_dict()["primal"] is None
 
     def test_chain_against_power_norms(self):
         rng = random.Random(17)

@@ -6,8 +6,8 @@ import pytest
 
 from tensornorm import norm_solver
 from tensornorm._colgen import PRUNE_TOL, SolverOptions
-from tensornorm.exchangeable import (_master_decomposition, _merged_measure, chi_nN, iid,
-                                     kappa_bounds,
+from tensornorm.exchangeable import (_master_decomposition, _merged_measure, _pushforward_chi,
+                                     chi_nN, iid, kappa_bounds,
                                      kappa_nN_bounds, kappa_nNm_bounds, load_distribution,
                                      mu_binary, partition_log_slack, represent,
                                      uv_bound, verify_representation)
@@ -79,6 +79,18 @@ class TestLoadDistribution:
         d1 = load_distribution([((1, 0), 1.0)])
         d2 = load_distribution([((0, 1), 1.0)])
         assert d1.tensor.entries == d2.tensor.entries
+
+    @pytest.mark.parametrize("atoms, states, order", [
+        ([((0, 1), 1.0)], 5, None),
+        ([((0, 1), 1.0)], None, 2.0),
+        ([((0, 1), 1.0)], None, "2"),
+        ([((0, 1), 1.0)], None, True),
+        ([((0, 1), 1.0)], None, 0),
+        ([((), 1.0)], None, None),
+    ], ids=["states-5", "order-2.0", "order-str", "order-True", "order-0", "idx-empty"])
+    def test_rejects_bad_order_and_states(self, atoms, states, order):
+        with pytest.raises(ValueError, match="order|states"):
+            load_distribution(atoms, states=states, order=order)
 
 
 class TestRepresent:
@@ -302,6 +314,22 @@ class TestChi:
     def test_probability_mass(self):
         for (n, N) in [(2, 4), (3, 5)]:
             assert chi_nN(n, N).tensor.entrywise_l1() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n, N, counts", [
+    (2, 4, [3, 1]), (3, 6, [3, 2, 1]), (4, 7, [4, 3]), (3, 5, [5, 0]),
+    (8, 200, [120, 50, 30]),   # (200)_8 > 2^53: float products of the counts are inexact
+])
+def test_pushforward_chi_is_the_rounded_urn_law(n, N, counts):
+    want = {}
+    for idx in multi_indices(len(counts), n):
+        p, left = Fraction(1), list(counts)
+        for k, state in enumerate(idx):   # draw the states of idx in this order
+            p *= Fraction(left[state], N - k)
+            left[state] -= 1
+        if p:
+            want[idx] = float(p)
+    assert list(_pushforward_chi(n, N, counts).entries.items()) == list(want.items())
 
 
 class TestExtendibilityBounds:

@@ -8,16 +8,16 @@ import pytest
 
 from tensornorm import lp_engine
 from tensornorm._colgen import NormBounds, PRUNE_TOL, SolverOptions, run_column_generation
-from tensornorm.euclid2 import _ArcPowerFamily
+from tensornorm.euclid2 import _ArcPowerFamily, half_circle_lp
 from tensornorm.norm_solver import (SpaceDescriptor, _OrbitPowerFamily, _PowerFamily,
-                                    _arrangements, _basis_wedge, _full_shape,
+                                    _basis_wedge, _full_shape,
                                     _monomials, _simplex_lattice, cssp_l1, kappa, l1, l2dim2,
                                     norm_pi, norm_pip, norm_pis, norm_pisp,
                                     norm_pisp_invariant, polarization_constants)
 from tensornorm.chebyshev import psi
 from tensornorm.exchangeable import chi_nN, load_distribution, mu_binary, uv_bound
-from tensornorm.tensor_core import (SignedPowerCombination, SymmetricTensor, multi_indices, power,
-                                    tensor_pushforward, wedge)
+from tensornorm.tensor_core import (SignedPowerCombination, SymmetricTensor, _arrangements,
+                                    multi_indices, power, tensor_pushforward, wedge)
 
 E_WEDGE = wedge([(1.0, 0.0), (0.0, 1.0)])
 FAST = SolverOptions(tol=1e-6, max_rounds=120)
@@ -145,6 +145,18 @@ class TestNormPip:
         nb = norm_pip(power((1.0, -1.0), 2), l2dim2())
         assert nb.contains(4.0, 1e-7)
         assert nb.primal_pairs is not None
+
+    def test_l2_chain_with_the_power_norm(self):
+        rng = random.Random("l2-chain")
+        for _ in range(200):
+            a, b, c = (rng.uniform(-2.0, 2.0) for _ in range(3))
+            t = SymmetricTensor(2, 2, {(0, 0): a, (0, 1): b, (1, 1): c})
+            pisp = norm_pisp(t, l2dim2())
+            pip = norm_pip(t, l2dim2())
+            assert pisp == half_circle_lp([[a, b], [b, c]])
+            # pi <= pip <= pisp, up to the rounding of each master's objective
+            assert pisp.upper >= pip.lower * (1 - 1e-12)
+            assert pip.upper >= norm_pi(t, l2dim2()).upper * (1 - 1e-12)
 
 
 class TestKappa:

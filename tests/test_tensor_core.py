@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,25 @@ class TestVandermonde:
         assert vandermonde_node_bound((0, 1, 2), weights) == pytest.approx(
             3.0 + 3.0 * 1.0 + 1.0 * 4.0)
 
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_float_weights_match_exact(self, n):
+        # solving the Vandermonde system in floats instead loses every digit by n = 16
+        got = [a for a, _ in vandermonde_decomposition((1.0, -1.0), n).terms]
+        want = [a for a, _ in vandermonde_decomposition((1.0, -1.0), n, exact=True).terms]
+        assert len(got) == len(want) == n + 1
+        for g, w in zip(got, want):
+            assert abs(g - float(w)) <= 1e-14 * abs(float(w))
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 20])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_float_reconstruction_residual(self, m, n):
+        rng = random.Random(f"vandermonde:{m}:{n}")
+        for _ in range(20):
+            x = tuple(rng.uniform(-1.0, 1.0) for _ in range(m))
+            comb = vandermonde_decomposition(x, n)
+            residual = comb.evaluate().residual_inf(power(x, n))
+            assert residual <= 1e-11 * max(1.0, comb.cost())
+
     @given(st.lists(st.integers(-4, 4), min_size=2, max_size=3), st.integers(1, 5))
     @settings(max_examples=80, deadline=None)
     def test_reconstruction_and_positivity(self, x, n):
@@ -276,6 +296,18 @@ class TestPushforward:
         direct = out.evaluate()
         lifted = tensor_pushforward(rows, comb.evaluate())
         assert direct.residual_inf(lifted) <= 1e-9
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_tensor_pushforward_at_higher_order(self, n):
+        rng = random.Random(f"pushforward:{n}")
+        for m, m_out in ((2, 2), (2, 3), (3, 2)):
+            comb = SignedPowerCombination(m, n, tuple(
+                (rng.uniform(-1.0, 1.0), tuple(rng.uniform(-1.0, 1.0) for _ in range(m)))
+                for _ in range(4)))
+            M = [[rng.uniform(0.0, 1.0) for _ in range(m)] for _ in range(m_out)]
+            direct = pushforward(M, comb)
+            lifted = tensor_pushforward(M, comb.evaluate())
+            assert lifted.residual_inf(direct.evaluate()) <= 1e-12 * direct.cost()
 
 
 class TestJsonRoundTrip:

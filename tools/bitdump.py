@@ -18,7 +18,7 @@ compute the same bits exactly when their dumps are equal byte for byte:
 
 One checkout takes about 2.5 minutes on 2 cores.
 
-With ``--cli`` it runs a fixed battery of 118 command lines through
+With ``--cli`` it runs a fixed battery of 122 command lines through
 ``tensornorm.cli.main`` instead (every subcommand in every ``--format``,
 rational ``psi``, runs that exit 3, ``--output``, negative numbers,
 permutation-invariant solves off the benchmark pools (up to chi_4,48 on
@@ -176,6 +176,11 @@ LAWS = {
                     "atoms": [{"idx": [0, 1, 1, 1, 1], "p": 0.5},
                               {"idx": [0, 0, 1, 1, 1], "p": 0.3},
                               {"idx": [1, 1, 1, 1, 1], "p": 0.2}]},
+    # rejected: states not a list, order not a positive int, an empty index
+    "states5.json": {"states": 5, "atoms": [{"idx": [0, 1], "p": 1.0}]},
+    "order2.0.json": {"order": 2.0, "atoms": [{"idx": [0, 1], "p": 1.0}]},
+    "order-str.json": {"order": "2", "atoms": [{"idx": [0, 1], "p": 1.0}]},
+    "empty-idx.json": {"atoms": [{"idx": [], "p": 1.0}]},
 }
 FORMATS = ("json", "csv", "table")
 CLI_EACH_FORMAT = [
@@ -247,6 +252,10 @@ CLI_ONCE = [
     ["euclid2", "--what", "halfcircle", "--matrix", "nan,0,0"],
     ["represent", "--input", "{dir}/missing.json"],
     ["represent", "--input", "{dir}/missing.json", "--output", "{out}"],
+    ["represent", "--input", "{dir}/states5.json"],
+    ["represent", "--input", "{dir}/order2.0.json"],
+    ["represent", "--input", "{dir}/order-str.json"],
+    ["represent", "--input", "{dir}/empty-idx.json"],
     ["kappa", "--n", "2", "--output", "{dir}/missing/out.txt"],
     ["kappa", "--n", "2", "--seed", "1"],
     ["psi", "--a", "-x", "--b", "1", "--n", "2"],
