@@ -89,7 +89,7 @@ def load_distribution(atoms, states=None, order: int | None = None) -> Exchangea
     if isinstance(order, bool) or not isinstance(order, int) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
     if states is None:
-        states = range(max(max(idx) for idx, _ in atoms) + 1)
+        states = range(max((i for idx, _ in atoms for i in idx), default=-1) + 1)
     try:
         states = tuple(states)
     except TypeError:

@@ -188,9 +188,7 @@ class _PowerFamily:
     """Generators x^(tensor n) with x on the l1 unit sphere (or its positive part)."""
 
     def __init__(self, m: int, n: int, signed: bool, target=None):
-        self.m = m
-        self.n = n
-        self.signed = signed
+        self.m, self.n, self.signed = m, n, signed
         self.target = None if target is None else np.asarray(target, dtype=float)
         self.indices = multi_indices(m, n)
         self.counts = _compositions(m, n)[::-1]
@@ -208,17 +206,17 @@ class _PowerFamily:
         grad = self.counts.T[:, None] - np.eye(m, dtype=int)[:, :, None]
         self._grad_take = base[:, None] + np.where(self.counts.T > 0, grad, 0)
         self.sign_factors = [self.column(pat) for pat in self.patterns]
-        self._grid = None
-        self._grid_cols = None
+        self._grid = self._grid_cols = None
 
     # -- column interface ---------------------------------------------------
     def column(self, x) -> np.ndarray:
-        return self._products(x, self._take)
+        return self._terms(np.asarray(x, dtype=float)[None], self._take)[0]
 
-    def _products(self, x, take):
-        # products over the first axis of take, in coordinate order, of x's power table
-        table = np.asarray(x, dtype=float)[:, None] ** self._powers
-        return np.multiply.reduce(table.take(take), axis=0)
+    def _terms(self, X, take):
+        # per row of X, products over take's second axis, in coordinate order, of the
+        # row's power table; C-ordered, so each row's ddot with y sums as a lone row's
+        table = (X[:, :, None] ** self._powers).reshape(len(X), -1)
+        return np.ascontiguousarray(np.multiply.reduce(table.take(take, axis=1), axis=1))
 
     def primal(self, kept):
         terms = [(w, tuple(float(v) for v in p)) for p, w in kept]
@@ -237,17 +235,13 @@ class _PowerFamily:
             for j in range(self.n + 1):
                 c = math.cos(j * math.pi / (2 * self.n)) ** 2
                 base.append(np.asarray([c, 1.0 - c]))
-        lattice_res = self.n
-        if comb(lattice_res + self.m - 1, self.m - 1) <= GRID_BUDGET:
-            base.extend(_lattice_cached(self.m, lattice_res))
+        if comb(self.n + self.m - 1, self.m - 1) <= GRID_BUDGET:
+            base.extend(_lattice_cached(self.m, self.n))
         out = []
         cand = self._diagonal_candidate()
         if cand is not None:
             out.append(cand)  # first, so deduplication keeps the clean point
-        for pat in self.patterns:
-            for x in base:
-                out.append(tuple(pat * x))
-        return out
+        return out + [tuple(pat * x) for pat in self.patterns for x in base]
 
     def _diagonal_candidate(self):
         # an exact power target x^(tensor n) is recovered from its diagonal
@@ -282,8 +276,7 @@ class _PowerFamily:
                 x, v, more = self._oracle_grid(yt)
                 extras.extend(tuple(pat * np.asarray(q)) for q in more)
             if v > best_v:
-                best_v = v
-                best_x = tuple(pat * x)
+                best_v, best_x = v, tuple(pat * x)
         return best_x, best_v, extras[:4]
 
     def _oracle_grid(self, y):
@@ -294,62 +287,67 @@ class _PowerFamily:
             self._grid = _lattice_cached(self.m, res)
             self._grid_cols = _monomials(self._grid, self.counts)
         vals = self._grid_cols @ y
-        order = np.argsort(-np.abs(vals))
-        best_x, best_v = None, -1.0
-        extras = []
-        for rank, gi in enumerate(order[:5]):
-            x0 = self._grid[gi]
-            x, v = self._polish(x0, y, 1.0 if vals[gi] >= 0 else -1.0)
-            x = self._snap(x)
+        top = np.argsort(-np.abs(vals))[:5]
+        X, F = self._polish(self._grid[top], y, [1.0 if v >= 0 else -1.0 for v in vals[top]])
+        # align the points with the deduplication precision, so that repeated convergence
+        # to one maximiser does not pile up near-parallel columns
+        X = np.round(X, 12)
+        best_x, best_v, extras = None, -1.0, []
+        for rank, (gi, x, s, v) in enumerate(zip(top, X, np.abs(X).sum(axis=1).tolist(), F)):
+            x = x / s if s > 0 else x
             if v > best_v:
                 best_v, best_x = v, x
             elif rank > 0 and abs(vals[gi]) > 1.0 + PRICING_TOL:
                 extras.append(tuple(x))
         return np.asarray(best_x), best_v, extras[:3]
 
-    @staticmethod
-    def _snap(x):
-        # align polished points with the deduplication precision so repeated
-        # convergence to one maximiser does not pile up near-parallel columns
-        x = np.round(np.asarray(x, dtype=float), 12)
-        s = np.abs(x).sum()
-        return x / s if s > 0 else x
+    # one ddot per row: a (k, L) @ y gemv, or rows with strides (8, 40), sum in another order
+    def _values(self, X, y):
+        return [float(row.dot(y)) for row in self._terms(X, self._take)]
 
-    def _poly_value(self, x, y):
-        return float(self.column(x) @ y)
+    def _gradients(self, X, y):
+        parts = self._terms(X, self._grad_take)   # (k, m, L)
+        parts *= self.counts.T
+        return np.asarray([part.dot(y) for part in parts.reshape(-1, len(y))]).reshape(X.shape)
 
-    def _poly_grad(self, x, y):
-        # one full-length dot per coordinate, as the value's: (m, L) @ y sums otherwise
-        parts = self.counts.T * self._products(x, self._grad_take)
-        return np.asarray([float(part @ y) for part in parts])
-
-    def _polish(self, x0, y, sign):
-        x = np.asarray(x0, dtype=float).copy()
-        f = sign * self._poly_value(x, y)
-        step = 0.25
-        g = None   # the ascent direction, kept until x moves
+    def _polish(self, X0, y, signs):
+        """Projected-gradient ascent of sign * p on the simplex from each row of X0, all
+        rows in lockstep.  Each row stops where it would alone: centred gradient below
+        1e-15, step below 1e-14 or POLISH_ITERS steps.  Returns (X, |p| per row)."""
+        X = np.array(X0, dtype=float)
+        f = [s * v for s, v in zip(signs, self._values(X, y))]
+        step, norm = np.full(len(X), 0.25), np.empty(len(X))
+        D = np.empty_like(X)   # ascent directions, each kept until its row moves
+        live, due = list(range(len(X))), list(range(len(X)))   # due: starts, rows that moved
         for _ in range(POLISH_ITERS):
-            if g is None:
-                g = sign * self._poly_grad(x, y)
-                g = g - g.mean()
-                gnorm = float(np.linalg.norm(g))
-                if gnorm < 1e-15:
-                    break
-            cand = np.clip(x + step * g / gnorm, 0.0, None)
-            s = cand.sum()
-            if s <= 0:
-                step *= 0.5
-                continue
-            cand /= s
-            fc = sign * self._poly_value(cand, y)
-            if fc > f + 1e-17:
-                x, f, g = cand, fc, None
-                step = min(step * 1.6, 0.5)
-            else:
-                step *= 0.5
-                if step < 1e-14:
-                    break
-        return x, abs(f)
+            if due:
+                G = self._gradients(X[due], y) * np.asarray(signs)[due, None]
+                D[due] = G = G - G.mean(axis=1, keepdims=True)
+                norm[due] = [math.sqrt(g.dot(g)) for g in G]
+                live, due = [i for i in live if not norm[i] < 1e-15], []
+            if not live:
+                break
+            idx = np.asarray(live)
+            C = np.maximum(X[idx] + step[idx, None] * D[idx] / norm[idx, None], 0.0)
+            sums = C.sum(axis=1)
+            up = [j for j, s in enumerate(sums.tolist()) if not s <= 0]   # NaN goes on, as alone
+            if len(up) < len(live):   # a candidate clipped to 0 halves the step, no stop test
+                step[np.delete(idx, up)] *= 0.5
+                if not up:
+                    continue
+                C, sums, idx = C[up], sums[up], idx[up]
+            C /= sums[:, None]
+            for i, c, v in zip(idx.tolist(), C, self._values(C, y)):
+                fc = signs[i] * v
+                if fc > f[i] + 1e-17:
+                    X[i], f[i] = c, fc
+                    step[i] = min(step[i] * 1.6, 0.5)
+                    due.append(i)
+                else:
+                    step[i] *= 0.5
+                    if step[i] < 1e-14:
+                        live.remove(i)
+        return X, [abs(v) for v in f]
 
 
 def _block_table(parts: list, blocks: tuple, counts: np.ndarray) -> np.ndarray:

@@ -262,6 +262,15 @@ class TestRejectedInputText:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_empty_index_with_order(self, tmp_path, capsys):
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps({"atoms": [{"idx": [0, 1], "p": 0.5}, {"idx": [], "p": 0.5}],
+                                   "order": 2}))
+        assert cli.main(["represent", "--input", str(law)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: atom index () has length 0, expected 2\n")
+
     def test_library_value_error_in_any_command(self, monkeypatch, capsys):
         # kappa has no handler of its own; numpy's LinAlgError is a ValueError
         def singular(*args, **kwargs):

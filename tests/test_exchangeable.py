@@ -92,6 +92,11 @@ class TestLoadDistribution:
         with pytest.raises(ValueError, match="order|states"):
             load_distribution(atoms, states=states, order=order)
 
+    def test_empty_index_with_order_reports_its_length(self):
+        # the inferred states must not take max() over the empty index first
+        with pytest.raises(ValueError, match=r"^atom index \(\) has length 0, expected 2$"):
+            load_distribution([((0, 1), 0.5), ((), 0.5)], order=2)
+
 
 class TestRepresent:
     def test_uniform_transposition_lp(self):

@@ -9,8 +9,10 @@ floating-point operation.  Later the copies of one computation were folded
 into one home: the composition table (simplex lattice, exponent counts,
 diagonal lookup, extendibility count classes), the signed-term merge
 (polarization expansion, Chebyshev nodes), the power loop and the 2x2 trace
-norm.  Then each point's monomials came from one power table, and the polish
-kept its direction across rejected steps.  The loop versions live on here as
+norm.  Then each point's monomials came from one power table, the polish
+kept its direction across rejected steps, and the five grid starts were
+polished in lockstep, one batched value and gradient per step, each row
+stopping where it would alone.  The loop versions live on here as
 references, and every comparison is on the bytes of the result (value and
 type for Fractions), so a reordered sum or a lost sign of zero fails.
 """
@@ -37,7 +39,8 @@ from tensornorm.norm_solver import (_PowerFamily, _compositions, _poly_coeffs,
                                     norm_pis, norm_pisp)
 from tensornorm.exchangeable import iid, kappa_nNm_bounds, load_distribution
 from tensornorm.tensor_core import (SignedPowerCombination, SymmetricTensor, _as_vector,
-                                    _canonical_sign, multi_indices, polarization_expand, power)
+                                    _canonical_sign, multi_indices, multiplicity,
+                                    polarization_expand, power)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +251,12 @@ def ref_polish(self, x0, y, sign):
             if step < 1e-14:
                 break
     return x, abs(f)
+
+
+def ref_polish_rows(self, X0, y, signs):
+    """ref_polish from each row of X0 alone, in ``_PowerFamily._polish``'s (X, |p|) shape."""
+    rows = [ref_polish(self, x0, y, sign) for x0, sign in zip(X0, signs)]
+    return np.asarray([x for x, _ in rows]), [v for _, v in rows]
 
 
 def ref_simplex_lattice(m, resolution):
@@ -514,24 +523,39 @@ def test_counts_and_sign_factors(m, n):
 def test_column_and_polish_value_grad(m, n):
     fam = _PowerFamily(m, n, signed=False)
     y = np.random.default_rng(m * 100 + n).uniform(-2, 2, size=len(fam.indices))
-    for x in _points(m, m * 100 + n):
+    points = _points(m, m * 100 + n)
+    X = np.asarray(points)
+    # equal bytes in another layout would pass the lines below, yet each row's
+    # ddot with y would run another BLAS loop and sum in another order
+    assert fam._terms(X, fam._take).flags.c_contiguous
+    assert fam._terms(X, fam._grad_take).flags.c_contiguous
+    values, grads = fam._values(X, y), fam._gradients(X, y)
+    assert len(values) == len(grads) == len(points)
+    for x, val, grad in zip(points, values, grads):
         assert same_bits(fam.column(x), ref_column(fam, x))
         assert same_bits(fam.column(tuple(x)), ref_column(fam, tuple(x)))
         ref_val, ref_g = ref_poly_value_grad(fam, x, y)
-        assert same_bits(fam._poly_value(x, y), ref_val)
-        assert same_bits(fam._poly_grad(x, y), ref_g)
+        assert type(val) is float and same_bits(val, ref_val)
+        assert same_bits(grad, ref_g)
+
+
+def _assert_polish_rows(fam, X0, y, signs):
+    """_polish moves all rows together; each row must end as ref_polish from it alone."""
+    X, F = fam._polish(X0, y, signs)
+    assert X.shape == np.shape(X0) and len(F) == len(X0)
+    for x0, sign, x, v in zip(X0, signs, X, F):
+        ref_x, ref_v = ref_polish(fam, x0, y, sign)
+        assert same_bits(x, ref_x) and type(v) is float and same_bits(v, ref_v)
 
 
 @pytest.mark.parametrize("m, n", FAMILIES)
 def test_polish(m, n):
     fam = _PowerFamily(m, n, signed=False)
     rng = np.random.default_rng(m * 1000 + n)
-    for x0 in _points(m, m * 1000 + n):
+    X0 = np.asarray(_points(m, m * 1000 + n))
+    for shift in (0, 1):   # every start under both signs
         y = rng.uniform(-2, 2, size=len(fam.indices))
-        for sign in (1.0, -1.0):
-            x, v = fam._polish(x0, y, sign)
-            ref_x, ref_v = ref_polish(fam, x0, y, sign)
-            assert same_bits(x, ref_x) and same_bits(v, ref_v)
+        _assert_polish_rows(fam, X0, y, [(1.0, -1.0)[(j + shift) % 2] for j in range(len(X0))])
 
 
 @pytest.mark.parametrize("m, n", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2)])
@@ -558,12 +582,10 @@ def test_polish_from_lattice_points(m, n):
     rng = np.random.default_rng(m * 10000 + n)
     starts = [grid[0], grid[-1], grid[len(grid) // 2]]
     starts += [grid[i] for i in rng.integers(len(grid), size=6)]
-    for x0 in starts:
+    for shift in (0, 1):
         y = rng.uniform(-2, 2, size=len(fam.indices))
-        for sign in (1.0, -1.0):
-            x, v = fam._polish(x0, y, sign)
-            ref_x, ref_v = ref_polish(fam, x0, y, sign)
-            assert same_bits(x, ref_x) and same_bits(v, ref_v)
+        _assert_polish_rows(fam, np.asarray(starts),
+                            y, [(1.0, -1.0)[(j + shift) % 2] for j in range(len(starts))])
 
 
 @pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (4, 3)])
@@ -573,48 +595,133 @@ def test_poly_grad_where_the_top_power_overflows(m, n):
     fam = _PowerFamily(m, n, signed=False)
     y = np.random.default_rng(m * 10 + n).uniform(-2, 2, size=len(fam.indices))
     big = 2.0 ** (1023 / (n - 0.5))
-    for x in (np.r_[big, np.full(m - 1, 0.5)], np.r_[-big, np.linspace(-1, 1, m - 1)]):
-        with np.errstate(over="ignore"):
-            grad = fam._poly_grad(x, y)
+    X = np.asarray([np.r_[big, np.full(m - 1, 0.5)], np.r_[-big, np.linspace(-1, 1, m - 1)]])
+    with np.errstate(over="ignore"):
+        grads = fam._gradients(X, y)
+        for x, grad in zip(X, grads):
             assert same_bits(grad, ref_poly_value_grad(fam, x, y)[1])
-        assert np.isfinite(grad).all()
+    assert np.isfinite(grads).all()
+
+
+def _ref_gradient_points(fam, x0, y, sign):
+    """The points at which ref_polish from x0 takes its gradients, one per step.
+
+    The reference passes each candidate once, to the value; the start and each
+    accepted candidate it also passes to every gradient taken there.
+    """
+    module = sys.modules[__name__]
+    args = []
+    value_grad = module.ref_poly_value_grad
+
+    def counted(self, x, y):
+        args.append(x)
+        return value_grad(self, x, y)
+
+    module.ref_poly_value_grad = counted
+    try:
+        ref_polish(fam, x0, y, sign)
+    finally:
+        module.ref_poly_value_grad = value_grad
+    seen = set()
+    steps = []
+    for a in args:
+        if id(a) in seen:
+            steps.append(a)
+        seen.add(id(a))
+    return steps
 
 
 @pytest.mark.parametrize("m, n", [(3, 2), (3, 3), (3, 4), (4, 2)])
 def test_polish_gradient_once_per_point(m, n, monkeypatch):
     # the reference takes the gradient on every step, also after a rejected one;
-    # _polish takes it once at the start and once after each accepted step
+    # _polish takes it once per row at the start and once after each accepted step
     fam = _PowerFamily(m, n, signed=False)
-    grads, ref_args = [], []
-    poly_grad, value_grad = _PowerFamily._poly_grad, ref_poly_value_grad
+    calls = []
+    gradients = _PowerFamily._gradients
 
-    def counted_grad(self, x, y):
-        grads.append(x.tobytes())
-        return poly_grad(self, x, y)
+    def counted_grad(self, X, y):
+        calls.append([x.tobytes() for x in X])
+        return gradients(self, X, y)
 
-    def counted_value_grad(self, x, y):
-        ref_args.append(x)
-        return value_grad(self, x, y)
-
-    monkeypatch.setattr(_PowerFamily, "_poly_grad", counted_grad)
-    monkeypatch.setattr(sys.modules[__name__], "ref_poly_value_grad", counted_value_grad)
+    monkeypatch.setattr(_PowerFamily, "_gradients", counted_grad)
     grid = ref_grid(m)
     rng = np.random.default_rng(m * 100000 + n)
+    X0 = np.asarray([grid[i] for i in rng.integers(len(grid), size=4)] + _points(m, m)[:4])
     repeats = 0
-    for x0 in [grid[i] for i in rng.integers(len(grid), size=4)] + _points(m, m)[:4]:
+    for shift in (0, 1):
         y = rng.uniform(-2, 2, size=len(fam.indices))
-        for sign in (1.0, -1.0):
-            grads.clear()
-            ref_args.clear()
-            fam._polish(x0, y, sign)
-            ref_polish(fam, x0, y, sign)
-            # the reference passes each candidate once, to the value; the start and
-            # each accepted candidate it also passes to every gradient taken there
-            uses = Counter(map(id, ref_args))
-            points = {id(a): a for a in ref_args if uses[id(a)] > 1}.values()
-            assert grads == [a.tobytes() for a in points]
-            repeats += sum(k - 2 for k in uses.values() if k > 1)
+        signs = [(1.0, -1.0)[(j + shift) % 2] for j in range(len(X0))]
+        wanted, most_steps = [], 0
+        for x0, sign in zip(X0, signs):
+            steps = _ref_gradient_points(fam, x0, y, sign)
+            points = list({id(a): a for a in steps}.values())
+            repeats += len(steps) - len(points)
+            most_steps = max(most_steps, len(steps))
+            wanted.append([a.tobytes() for a in points])
+            # alone, a row takes its gradients at the reference's distinct points, in order
+            calls.clear()
+            fam._polish(x0[None], y, [sign])
+            assert [c for call in calls for c in call] == wanted[-1]
+            assert all(len(call) == 1 for call in calls)
+        # in lockstep, at most one batched call per step, each row at most once in it
+        calls.clear()
+        fam._polish(X0, y, signs)
+        assert all(len(call) <= len(X0) for call in calls)
+        got = Counter(c for call in calls for c in call)
+        assert got == Counter(w for pts in wanted for w in pts)
+        # every row takes its first gradient in the first call
+        assert len(calls) <= min(most_steps, sum(map(len, wanted)) - len(X0) + 1)
     assert repeats > 0   # the reference did take gradients again at a point
+
+
+def _ref_stop(fam, x0, y, sign):
+    """(why, steps): where ref_polish from x0 stops, on a centred gradient below
+    1e-15 ('gradient'), a step below 1e-14 ('step') or after POLISH_ITERS ('iters')."""
+    steps = _ref_gradient_points(fam, x0, y, sign)
+    g = sign * ref_poly_value_grad(fam, steps[-1], y)[1]
+    g = g - g.mean()
+    if float(np.linalg.norm(g)) < 1e-15:
+        return "gradient", len(steps)
+    return ("iters" if len(steps) == norm_solver.POLISH_ITERS else "step"), len(steps)
+
+
+def test_polish_rows_stop_for_each_reason():
+    # y the multiplicities makes p = (sum x)^3, whose centred gradient is 0; less
+    # x_2^3 it is 0 only where x_2 = 0, so rows stop on the gradient at the start
+    # or once they reach that face, on the step at a vertex, or after all steps
+    m, n = 3, 3
+    fam = _PowerFamily(m, n, signed=False)
+    y = np.asarray([float(multiplicity(i)) for i in fam.indices])
+    y[fam.indices.index((2, 2, 2))] -= 1.0
+    grid = ref_grid(m)
+    rng = np.random.default_rng(0)
+    starts = [grid[0], grid[-1], grid[len(grid) // 2]]
+    starts += [grid[i] for i in rng.integers(len(grid), size=6)] + _points(m, 1)[:8]
+    X0 = np.asarray(starts * 2)
+    signs = [1.0] * len(starts) + [-1.0] * len(starts)
+    stops = [_ref_stop(fam, x0, y, sign) for x0, sign in zip(X0, signs)]
+    why = {w for w, _ in stops}
+    assert why == {"gradient", "step", "iters"}
+    assert len({k for w, k in stops if w == "gradient"}) > 2
+    assert len({k for w, k in stops if w == "step"}) > 2
+    _assert_polish_rows(fam, X0, y, signs)
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (3, 4), (4, 3), (5, 2)])
+def test_polish_batch_equals_single_rows(m, n):
+    # the five grid starts of _oracle_grid, polished together and one at a time
+    fam = _PowerFamily(m, n, signed=False)
+    grid = ref_grid(m)
+    rng = np.random.default_rng(m * 7 + n)
+    for _ in range(4):
+        y = rng.uniform(-2, 2, size=len(fam.indices))
+        vals = ref_grid_cols(grid, fam.counts) @ y
+        top = np.argsort(-np.abs(vals))[:5]
+        X0, signs = grid[top], [1.0 if v >= 0 else -1.0 for v in vals[top]]
+        X, F = fam._polish(X0, y, signs)
+        for i in range(5):
+            x, v = fam._polish(X0[i:i + 1], y, signs[i:i + 1])
+            assert same_bits(X[i], x[0]) and same_bits(F[i], v[0])
 
 
 # ---------------------------------------------------------------------------
@@ -987,7 +1094,7 @@ def _patched(monkeypatch, fn):
         mp.setattr(_PowerFamily, "__init__",
                    counted("tables", with_ref_tables(_PowerFamily.__init__)))
         mp.setattr(_PowerFamily, "column", counted("column", ref_column))
-        mp.setattr(_PowerFamily, "_polish", counted("polish", ref_polish))
+        mp.setattr(_PowerFamily, "_polish", counted("polish", ref_polish_rows))
         mp.setattr(_PowerFamily, "_diagonal_candidate",
                    counted("diagonal", ref_diagonal_candidate))
         mp.setattr(norm_solver, "_lattice_cached", counted("lattice", ref_simplex_lattice))

@@ -18,17 +18,19 @@ compute the same bits exactly when their dumps are equal byte for byte:
 
 One checkout takes about 2.5 minutes on 2 cores.
 
-With ``--cli`` it runs a fixed battery of 122 command lines through
+With ``--cli`` it runs a fixed battery of 125 command lines through
 ``tensornorm.cli.main`` instead (every subcommand in every ``--format``,
 rational ``psi``, runs that exit 3, ``--output``, negative numbers,
 permutation-invariant solves off the benchmark pools (up to chi_4,48 on
-l1^48), count classes on m states, the order-8 constants and rejected
-input).  It records each command's exit code and stdout, the file
-``--output`` wrote, and stderr where the exit code is 0 or 3; the wording
-of a rejection on stderr is not recorded.  An uncaught exception is recorded as exit 1, the code the
-process would exit with.  It touches nothing but ``cli.main``, so any two
-checkouts compare with one ``cmp``, in about 6 seconds each on 2 cores,
-most of it ``extend-bounds --n 3 --m 3 --N 3..6 --exact``.  Checkouts that
+l1^48, and ``kappa`` at orders 6 and 7, grid + polish on three blocks),
+count classes on m states, the order-8 constants and rejected input).
+It records each command's exit code and stdout, the file ``--output``
+wrote, and stderr where the exit code is 0 or 3; the wording of a
+rejection on stderr is not recorded.  An uncaught exception is recorded as
+exit 1, the code the process would exit with.  It touches nothing but
+``cli.main``, so any two checkouts compare with one ``cmp``, in about 6
+seconds each on 2 cores, most of it
+``extend-bounds --n 3 --m 3 --N 3..6 --exact``.  Checkouts that
 expand the orbit results to the full shape take about 11 seconds, most of it
 ``extend-bounds --n 4 --N 48 --exact``; those that solve the
 permutation-invariant commands over the full l1^N master, without orbit
@@ -176,11 +178,14 @@ LAWS = {
                     "atoms": [{"idx": [0, 1, 1, 1, 1], "p": 0.5},
                               {"idx": [0, 0, 1, 1, 1], "p": 0.3},
                               {"idx": [1, 1, 1, 1, 1], "p": 0.2}]},
-    # rejected: states not a list, order not a positive int, an empty index
+    # rejected: states not a list, order not a positive int, an empty index (alone and
+    # beside a full one, with the order given)
     "states5.json": {"states": 5, "atoms": [{"idx": [0, 1], "p": 1.0}]},
     "order2.0.json": {"order": 2.0, "atoms": [{"idx": [0, 1], "p": 1.0}]},
     "order-str.json": {"order": "2", "atoms": [{"idx": [0, 1], "p": 1.0}]},
     "empty-idx.json": {"atoms": [{"idx": [], "p": 1.0}]},
+    "empty-idx-order2.json": {"order": 2, "atoms": [{"idx": [0, 1], "p": 0.5},
+                                                    {"idx": [], "p": 0.5}]},
 }
 FORMATS = ("json", "csv", "table")
 CLI_EACH_FORMAT = [
@@ -218,6 +223,8 @@ CLI_ONCE = [
     ["kappa", "--n", "5", "--max-iters", "1", "--output", "{out}"],       # exit 3
     # permutation-invariant solves off the benchmark pools
     ["kappa", "--n", "5"],
+    ["kappa", "--n", "6"],   # three-block grid + polish pricing
+    ["kappa", "--n", "7"],
     ["extend-bounds", "--n", "4", "--N", "4..8", "--exact"],
     ["extend-bounds", "--n", "3", "--N", "3..20", "--exact"],
     ["extend-bounds", "--n", "5", "--N", "8", "--exact"],
@@ -256,6 +263,7 @@ CLI_ONCE = [
     ["represent", "--input", "{dir}/order2.0.json"],
     ["represent", "--input", "{dir}/order-str.json"],
     ["represent", "--input", "{dir}/empty-idx.json"],
+    ["represent", "--input", "{dir}/empty-idx-order2.json"],
     ["kappa", "--n", "2", "--output", "{dir}/missing/out.txt"],
     ["kappa", "--n", "2", "--seed", "1"],
     ["psi", "--a", "-x", "--b", "1", "--n", "2"],
