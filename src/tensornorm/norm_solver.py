@@ -11,8 +11,10 @@ Over l1^m the first and third have entrywise closed forms; the power-based
 norms run column generation whose generators are powers of unit vectors
 (the probability simplex for the positive cone, its signed copies for
 norm_pis).  Pricing is exact for m = 2 (univariate polynomial on [0, 1])
-and grid + projected-gradient polish for m >= 3.  The Euclidean 2x2 case
-is delegated to the euclid2 gallery.
+and grid + projected-gradient polish for m >= 3.  At m = 2 the positive
+family prices one column per round; the signed one adds every other
+violated candidate of both orthants, largest first, up to four.  The
+Euclidean 2x2 case is delegated to the euclid2 gallery.
 """
 
 from __future__ import annotations
@@ -175,13 +177,11 @@ def _roots_unit_interval(coef: np.ndarray) -> list[float]:
     return roots
 
 
-def _max_abs_poly01(coef: np.ndarray) -> tuple[float, float]:
-    """(argmax, max) of |p(u)| over [0, 1] via derivative root isolation."""
+def _max_abs_poly01(coef: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Candidates for the max of |p(u)| over [0, 1], the ends and the roots of p', and |p| there."""
     deriv = coef[1:] * np.arange(1, len(coef))
     cands = [0.0, 1.0] + _roots_unit_interval(deriv)
-    vals = np.abs(np.polynomial.polynomial.polyval(np.asarray(cands), coef))
-    i = int(np.argmax(vals))
-    return float(cands[i]), float(vals[i])
+    return cands, np.abs(np.polynomial.polynomial.polyval(np.asarray(cands), coef))
 
 
 class _PowerFamily:
@@ -267,16 +267,23 @@ class _PowerFamily:
         y = np.asarray(y, dtype=float)
         best_x, best_v = None, -1.0
         extras: list[tuple] = []
+        violated = []   # signed m = 2: (|p|, point) of every violated candidate, both orthants
         for pat, sign_factor in zip(self.patterns, self.sign_factors):
             yt = y * sign_factor
             if self.m == 2:
-                u, v = _max_abs_poly01(_poly_coeffs(yt, self.n))
-                x = np.asarray([u, 1.0 - u])
+                cands, vals = _max_abs_poly01(_poly_coeffs(yt, self.n))
+                i = int(np.argmax(vals))
+                x, v = np.asarray([cands[i], 1.0 - cands[i]]), float(vals[i])
+                if self.signed:
+                    violated += [(w, tuple(pat * np.asarray([u, 1.0 - u])))
+                                 for u, w in zip(cands, vals.tolist()) if w > 1.0 + PRICING_TOL]
             else:
                 x, v, more = self._oracle_grid(yt)
                 extras.extend(tuple(pat * np.asarray(q)) for q in more)
             if v > best_v:
                 best_v, best_x = v, tuple(pat * x)
+        violated.sort(key=lambda f: -f[0])
+        extras += [q for _, q in violated if q != best_x]
         return best_x, best_v, extras[:4]
 
     def _oracle_grid(self, y):

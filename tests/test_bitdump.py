@@ -81,6 +81,52 @@ def test_cli_battery_dumps_group_as_cli(tmp_path):
         "  kappa --n 2 --format json: 1.67e-01 relative, at /stdout/upper"]
 
 
+def test_slot_with_several_moved_entries_is_one_line(tmp_path):
+    old = {f"two_state/signed-n8/{j}": {"type": "NormBounds",
+                                        "fields": {"lower": (1.0 + j).hex(),
+                                                   "upper": (2.0 + j).hex()}}
+           for j in range(5)}
+    old.update(OLD)
+    new = json.loads(json.dumps(old))
+    new["two_state/signed-n8/1"]["fields"]["upper"] = (3.0 * (1 + 2e-9)).hex()
+    new["two_state/signed-n8/3"]["fields"]["lower"] = (4.0 * (1 - 3e-8)).hex()
+    del new["two_state/signed-n8/4"]
+    new["two_state/signed-n8/5"] = new["two_state/signed-n8/0"]
+    done = _diff(tmp_path, old, new)
+    assert done.returncode == 1
+    assert done.stdout.splitlines()[-2:] == [
+        "two_state: 4 of 7 entries differ",
+        "  two_state/signed-n8/*: 4 of 6 entries differ, 1 only in OLD, 1 only in NEW, "
+        "largest 3.00e-08 relative, at two_state/signed-n8/3/fields/lower"]
+
+    # master keys (workload/sweep/slot/entry/master) roll up by sweep and slot
+    old = {f"two_state/0/signed-n8/{j}/{k}": {"iterations": 1} for j in range(2)
+           for k in range(3)}
+    new = dict(old, **{"two_state/0/signed-n8/1/0": {"iterations": 2}})
+    del new["two_state/0/signed-n8/1/2"]
+    done = _diff(tmp_path, old, new)
+    assert done.stdout.splitlines() == [
+        "two_state: 2 of 6 entries differ",
+        "  two_state/0/signed-n8/*: 2 of 6 entries differ, 1 only in OLD, "
+        "no bracket end moved"]
+
+
+def test_closed_pipe_ends_quietly(tmp_path):
+    # far more output than a pipe holds, read by nobody (as `--diff ... | head` leaves it)
+    old = {f"kappa --n {j}": {"exit": 0, "stdout": "a"} for j in range(20000)}
+    new = {key: {"exit": 0, "stdout": "b"} for key in old}
+    paths = []
+    for name, dump in (("old.json", old), ("new.json", new)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(dump), encoding="utf-8")
+    proc = subprocess.Popen([sys.executable, str(TOOL), "--diff", *map(str, paths)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
+
+
 def test_diff_needs_two_dumps(tmp_path):
     path = tmp_path / "old.json"
     path.write_text(json.dumps(OLD), encoding="utf-8")

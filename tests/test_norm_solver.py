@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from tensornorm import lp_engine
-from tensornorm._colgen import NormBounds, PRUNE_TOL, SolverOptions, run_column_generation
+from tensornorm._colgen import (NormBounds, PRICING_TOL, PRUNE_TOL, SolverOptions,
+                                run_column_generation)
 from tensornorm.euclid2 import _ArcPowerFamily, half_circle_lp
 from tensornorm.norm_solver import (SpaceDescriptor, _OrbitPowerFamily, _PowerFamily,
-                                    _basis_wedge, _full_shape,
-                                    _monomials, _simplex_lattice, cssp_l1, kappa, l1, l2dim2,
+                                    _basis_wedge, _full_shape, _max_abs_poly01,
+                                    _monomials, _poly_coeffs, _simplex_lattice, cssp_l1,
+                                    kappa, l1, l2dim2,
                                     norm_pi, norm_pip, norm_pis, norm_pisp,
                                     norm_pisp_invariant, polarization_constants)
 from tensornorm.chebyshev import psi
@@ -126,6 +128,43 @@ class TestNormPis:
         t = wedge([(1.0,) + (0.0,) * 4] * 2)
         with pytest.raises(ValueError):
             norm_pis(t, l1(5))
+
+
+class TestNormPisCertificate:
+    """norm_pis over l1^2 of seeded random signed tensors: both ends are certificates."""
+
+    @staticmethod
+    def _points(n, samples):
+        # each orthant's arc: (u, 1 - u) and (u, u - 1), u on a uniform grid
+        u = np.linspace(0.0, 1.0, samples)[:, None]
+        return np.vstack([np.hstack([u, 1.0 - u]), np.hstack([u, u - 1.0])])
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_dual_and_witness(self, n):
+        t = random_tensor(random.Random(f"pis-certificate:{n}"), 2, n)
+        nb = norm_pis(t, l1(2))
+        cols = _monomials(self._points(n, 100_001), _PowerFamily(2, n, signed=True).counts)
+        assert np.abs(cols @ np.asarray(nb.dual)).max() <= 1.0 + 1e-9
+        assert float(np.asarray(t.vector()) @ np.asarray(nb.dual)) == pytest.approx(
+            nb.lower, rel=1e-12)
+        # rounding in a sum of signed terms grows with their total weight
+        assert nb.primal.evaluate().residual_inf(t) <= 1e-9 * max(1.0, nb.upper)
+        assert math.fsum(abs(w) for w, _ in nb.primal.terms) == pytest.approx(
+            nb.upper, rel=1e-12)
+
+    # not n = 16: there HiGHS leaves a residual of 5.1e-5 on the grid LP and reads 1.7e-5
+    # (relative) below a lower end whose dual has max |p| = 1 - 3.0e-9 on 200,001 points
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_bracket_holds_the_highs_grid_value(self, n):
+        optimize = pytest.importorskip("scipy.optimize")
+        t = random_tensor(random.Random(f"pis-certificate:{n}"), 2, n)
+        nb = norm_pis(t, l1(2))
+        cols = _monomials(self._points(n, 4097), _PowerFamily(2, n, signed=True).counts)
+        ref = optimize.linprog(np.ones(2 * len(cols)), A_eq=np.hstack([cols.T, -cols.T]),
+                               b_eq=t.vector(), bounds=(0, None), method="highs")
+        assert ref.status == 0
+        assert nb.lower <= ref.fun
+        assert ref.fun - nb.upper <= 1e-5 * ref.fun
 
 
 class TestNormPip:
@@ -301,6 +340,73 @@ class TestSolverOptions:
     def test_boundary_values_accepted(self):
         assert SolverOptions(tol=0, max_rounds=0) == SolverOptions(0.0, 0)
         assert SolverOptions(max_rounds=np.int64(3)).max_rounds == 3
+
+
+# p(u) = sum_k Y8[k] u^(8 - k) (1 - u)^k has |p| > 1 at u = 0, the end both orthants
+# share as (0, 1) and (0, -1), at three more local maxima on the first orthant and two
+# on the second; at u = 1 it is 0.61 on both
+Y8 = [-0.61, -23.55, 89.51, 295.65, -186.8, -118.81, -48.0, 0.91, 1.64]
+
+
+def _candidates(fam, y):
+    """(|p|, point) at every candidate of every orthant, as _max_abs_poly01 finds them."""
+    out = []
+    for pat, sign_factor in zip(fam.patterns, fam.sign_factors):
+        cands, vals = _max_abs_poly01(_poly_coeffs(np.asarray(y) * sign_factor, fam.n))
+        out += [(float(v), tuple(pat * np.asarray([u, 1.0 - u]))) for u, v in zip(cands, vals)]
+    return out
+
+
+class TestTwoStatePricing:
+    """m = 2: the signed family prices every violated candidate of both orthants, the
+    positive family only the best."""
+
+    def test_signed_extras_are_the_other_violated_candidates(self):
+        fam = _PowerFamily(2, 8, signed=True)
+        best, peak, extras = fam.oracle(Y8)
+        found = _candidates(fam, Y8)
+        violated = sorted((c for c in found if c[0] > 1.0 + PRICING_TOL), key=lambda c: -c[0])
+        assert len(violated) == 7 and {q[1] < 0 for _, q in violated[1:]} == {True, False}
+        assert (peak, best) == violated[0] == (1.64, (0.0, 1.0))
+        assert extras == [q for _, q in violated[1:5]]
+        assert extras[0] == (0.0, -1.0)
+        priced = [abs(float(fam.column(q) @ np.asarray(Y8))) for q in extras]
+        assert priced == sorted(priced, reverse=True) and min(priced) > 1.0 + PRICING_TOL
+
+    def test_no_candidate_within_pricing_tol_is_priced(self):
+        fam = _PowerFamily(2, 8, signed=True)
+        y = [v / 1.2 for v in Y8]
+        best, peak, extras = fam.oracle(y)
+        found = _candidates(fam, y)
+        violated = [q for v, q in sorted(found, key=lambda c: -c[0]) if v > 1.0 + PRICING_TOL]
+        assert len(violated) == 4 and len(found) == 9
+        assert [best] + extras == violated   # under the cap: every violated one, in order
+        assert not {q for v, q in found if v <= 1.0 + PRICING_TOL} & set(extras)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_positive_family_prices_the_best_candidate_alone(self, seed):
+        fam = _PowerFamily(2, 8, signed=False)
+        rng = random.Random(f"two-state-pricing:{seed}")
+        y = Y8 if seed == 0 else [rng.uniform(-3, 3) for _ in Y8]
+        cands, vals = _max_abs_poly01(_poly_coeffs(np.asarray(y), 8))
+        i = int(np.argmax(vals))
+        assert fam.oracle(y) == ((cands[i], 1.0 - cands[i]), float(vals[i]), [])
+
+    def test_orbit_family_prices_one_point_per_pattern(self):
+        fam = _OrbitPowerFamily(4, 4)
+        rng = random.Random("two-state-pricing:orbit")
+        for _ in range(10):
+            y = np.asarray([rng.uniform(-2, 2) for _ in fam.parts])
+            found = [(float(v), x) for v, x in zip(np.abs(fam._bary_cols @ y), fam.barycentres)]
+            for (k1, k2), _, lift in fam._pricing:
+                cands, vals = _max_abs_poly01(_poly_coeffs(y @ lift, 4))
+                i = int(np.argmax(vals))
+                point = [cands[i] / k1] * k1 + [(1.0 - cands[i]) / k2] * k2
+                point += [0.0] * (4 - len(point))
+                found.append((float(vals[i]), tuple(sorted(point, reverse=True))))
+            found.sort(key=lambda f: -f[0])
+            extras = [x for v, x in found[1:5] if v > 1.0 + PRICING_TOL]
+            assert fam.oracle(y) == (found[0][1], found[0][0], extras)
 
 
 class _SingleSeedFamily(_PowerFamily):

@@ -51,8 +51,13 @@ in it: a field named ``lower``, ``upper``, ``total_variation`` or ``tv``
 (or ending so, as ``exact_upper``) or a two-element ``..._bracket``, also
 inside JSON on stdout and in the rows of a table.  An entry whose bracket
 ends all kept their bits differs elsewhere (round counts, atoms, text).
-It exits 1 when any entry differs and 0 when the dumps hold the same
-entries with the same bits.
+A slot, a key without its trailing numbers (``two_state/signed-n8`` for a
+pool dump, ``two_state/0/signed-n8`` for an ``--lp`` one), in which several
+entries differ gets one line instead: how many differ, how many are in one
+dump only, and the largest move of a bracket end in any of them, with that
+entry's key.  It exits 1 when any entry differs and 0 when the dumps hold
+the same entries with the same bits, also when the reader of its output
+stops early, as ``--diff OLD.json NEW.json | head`` does.
 """
 
 from __future__ import annotations
@@ -347,25 +352,51 @@ def largest_move(old, new) -> tuple[float, str]:
     return best
 
 
-def diff(old: dict, new: dict) -> int:
-    """Print the entries of two dumps that differ, by workload; 1 if any does."""
+def _slot(key: str) -> str:
+    """A dump key without its trailing numbers (pool entry, sweep place, master)."""
+    parts = key.split("/")
+    while len(parts) > 1 and parts[-1].isdigit():
+        parts.pop()
+    return "/".join(parts)
+
+
+def _slot_lines(old: dict, new: dict, slot: str, moved: list, total: int) -> list[str]:
+    """A slot's one differing entry, or one roll-up line for several of its total."""
+    if not moved:
+        return []
+    if len(moved) == 1 and (moved[0] not in old or moved[0] not in new):
+        return [f"  {moved[0]}: only in {'NEW' if moved[0] in new else 'OLD'}"]
+    move, path, key = max(((*largest_move(old[k], new[k]), k)
+                           for k in moved if k in old and k in new), default=(0.0, "", ""))
+    if len(moved) == 1:
+        return [f"  {key}: " + (f"{move:.2e} relative, at {path}" if path
+                                else "no bracket end moved")]
+    only = "".join(f", {count} only in {side}" for side, count in (
+        ("OLD", sum(k not in new for k in moved)), ("NEW", sum(k not in old for k in moved)))
+        if count)
+    return [f"  {slot}/*: {len(moved)} of {total} entries differ{only}, "
+            + (f"largest {move:.2e} relative, at {key}{path}" if path
+               else "no bracket end moved")]
+
+
+def diff(old: dict, new: dict) -> tuple[list[str], int]:
+    """The report on the entries of two dumps that differ, by workload and by slot,
+    and the exit code: 1 if any entry differs."""
     groups: dict = {}
     for key in sorted(old.keys() | new.keys()):
         head = key.split("/", 1)[0]
-        groups.setdefault(head if head in WORKLOADS else "cli", []).append(key)
-    differs = 0
-    for group, keys in groups.items():
-        moved = [k for k in keys if k not in old or k not in new or old[k] != new[k]]
-        differs += len(moved)
-        print(f"{group}: {len(moved)} of {len(keys)} entries differ")
-        for key in moved:
-            if key not in old or key not in new:
-                print(f"  {key}: only in {'NEW' if key in new else 'OLD'}")
-                continue
-            move, path = largest_move(old[key], new[key])
-            print(f"  {key}: " + (f"{move:.2e} relative, at {path}" if path
-                                  else "no bracket end moved"))
-    return 1 if differs else 0
+        slots = groups.setdefault(head if head in WORKLOADS else "cli", {})
+        slots.setdefault(_slot(key), []).append(key)
+    lines, differs = [], 0
+    for group, slots in groups.items():
+        moved = {slot: [k for k in keys if k not in old or k not in new or old[k] != new[k]]
+                 for slot, keys in slots.items()}
+        count = sum(map(len, moved.values()))
+        differs += count
+        lines.append(f"{group}: {count} of {sum(map(len, slots.values()))} entries differ")
+        for slot, keys in slots.items():
+            lines += _slot_lines(old, new, slot, moved[slot], len(keys))
+    return lines, 1 if differs else 0
 
 
 def main(argv=None) -> int:
@@ -376,7 +407,14 @@ def main(argv=None) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     if mode == "--diff":
-        return diff(*(json.loads(Path(a).read_text(encoding="utf-8")) for a in argv))
+        lines, code = diff(*(json.loads(Path(a).read_text(encoding="utf-8")) for a in argv))
+        try:
+            print("\n".join(lines))
+            sys.stdout.flush()
+        except BrokenPipeError:   # the reader stopped early, as head does
+            # stdout to devnull, so that the flush at exit does not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     checkout, target = Path(argv[0]).resolve(), Path(argv[1])
     result = {None: dump, "--cli": dump_cli, "--lp": dump_lp}[mode](checkout)
     target.write_text(json.dumps(result, sort_keys=True, indent=0) + "\n", encoding="utf-8")
